@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import seeds
-from .autodiff import Tensor, mul, softmax, softmax_np, tlog, tsum, LOG_FLOOR
+from .autodiff import Tensor, mul, softmax, softmax_np, tlog, tsum
 from .models import ParamSet, forward_eval, scores_np
 from .saliency import IndexSet
 
@@ -64,59 +64,52 @@ class Perturbation:
 # -- divergences ------------------------------------------------------------
 
 
-def _check_simplex(p: np.ndarray, name: str) -> None:
-    if p.min() < 0:
-        raise ValueError(f"{name} has negative entries")
-    s = p.sum()
-    if abs(s - 1.0) > 1e-6:
-        raise ValueError(f"{name} sums to {s!r}, expected 1 within 1e-6")
-
-
-def kl_div(p, q) -> float:
-    """KL divergence in bits, log arguments floored at 1e-12."""
+def _checked_rows(p, q) -> tuple[np.ndarray, np.ndarray]:
+    """Same-shape float arrays whose last axis holds distributions."""
     p = np.asarray(p, dtype=np.float64)
     q = np.asarray(q, dtype=np.float64)
     if p.shape != q.shape:
         raise ValueError(f"distribution length mismatch: {p.shape} vs {q.shape}")
-    _check_simplex(p, "P")
-    _check_simplex(q, "Q")
-    return float(
-        (p * (np.log(np.maximum(p, LOG_FLOOR)) - np.log(np.maximum(q, LOG_FLOOR)))).sum()
-        / _LN2
-    )
+    for arr, name in ((p, "P"), (q, "Q")):
+        if arr.min() < 0:
+            raise ValueError(f"{name} has negative entries")
+        sums = np.ravel(arr.sum(axis=-1))
+        bad = np.flatnonzero(np.abs(sums - 1.0) > 1e-6)
+        if bad.size:
+            raise ValueError(f"{name} sums to {float(sums[bad[0]])!r}, expected 1 within 1e-6")
+    return p, q
+
+
+def _kl_nats(p: Tensor, lp: Tensor, lq: Tensor) -> Tensor:
+    """Row-wise KL(P || Q) in nats, given P and both floored logs."""
+    return tsum(mul(p, lp - lq), axis=-1)
+
+
+def js_bits(p: Tensor, q: Tensor) -> Tensor:
+    """Row-wise JS divergence in bits between two graph branches.
+
+    Gradients flow into both; pass ``Tensor(q)`` for a constant
+    reference distribution.
+    """
+    lp = tlog(p)
+    lq = tlog(q)
+    return mul(_kl_nats(p, lp, lq) + _kl_nats(q, lq, lp), Tensor(0.5 / _LN2))
+
+
+def kl_div(p, q) -> float:
+    """KL divergence in bits, log arguments floored at 1e-12."""
+    p, q = (Tensor(a) for a in _checked_rows(p, q))
+    return float(_kl_nats(p, tlog(p), tlog(q)).data / _LN2)
+
+
+def js_bits_np(p, q) -> np.ndarray:
+    """Row-wise JS divergence of (..., C) distribution arrays, in bits."""
+    return js_bits(*(Tensor(a) for a in _checked_rows(p, q))).data
 
 
 def js_div(p, q) -> float:
     """Symmetrized KL: half of each direction, in bits."""
-    return 0.5 * kl_div(p, q) + 0.5 * kl_div(q, p)
-
-
-def js_bits_np(p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Row-wise JS divergence for (N, C) distribution pairs, no checks."""
-    lp = np.log(np.maximum(p, LOG_FLOOR))
-    lq = np.log(np.maximum(q, LOG_FLOOR))
-    kl_pq = (p * (lp - lq)).sum(axis=-1)
-    kl_qp = (q * (lq - lp)).sum(axis=-1)
-    return 0.5 * (kl_pq + kl_qp) / _LN2
-
-
-def js_bits_graph(p: Tensor, q_const: np.ndarray) -> Tensor:
-    """Graph version of row-wise JS against a constant distribution."""
-    q = Tensor(q_const)
-    lp = tlog(p)
-    lq = np.log(np.maximum(q_const, LOG_FLOOR))
-    kl_pq = tsum(mul(p, lp - Tensor(lq)), axis=-1)
-    kl_qp = tsum(mul(q, Tensor(lq) - lp), axis=-1)
-    return mul(kl_pq + kl_qp, Tensor(0.5 / _LN2))
-
-
-def js_bits_pair(p: Tensor, q: Tensor) -> Tensor:
-    """Row-wise JS between two graph branches; gradients flow into both."""
-    lp = tlog(p)
-    lq = tlog(q)
-    kl_pq = tsum(mul(p, lp - lq), axis=-1)
-    kl_qp = tsum(mul(q, lq - lp), axis=-1)
-    return mul(kl_pq + kl_qp, Tensor(0.5 / _LN2))
+    return float(js_bits_np(p, q))
 
 
 # -- masked search -----------------------------------------------------------
@@ -149,7 +142,7 @@ def _project(delta, x, eps, mask_pix):
 def _objective_and_grad(frozen, x_adv, p_clean):
     xt = Tensor(x_adv, requires_grad=True)
     probs = softmax(forward_eval(frozen, xt))
-    js_vec = js_bits_graph(probs, p_clean)
+    js_vec = js_bits(probs, Tensor(p_clean))
     tsum(js_vec).backward()
     return js_vec.data.copy(), xt.grad, probs.data
 

@@ -451,25 +451,20 @@ def max_pool2d(a: Tensor, k: int) -> Tensor:
 # -- composite losses ------------------------------------------------------
 
 
-def cross_entropy(scores: Tensor, label: int) -> Tensor:
-    """Negative log softmax probability of ``label`` for a 1-D score vector."""
-    n_classes = scores.data.shape[-1]
-    if scores.data.ndim != 1:
-        raise ValueError(f"cross_entropy expects a 1-D score vector, got {scores.shape}")
-    if not 0 <= label < n_classes:
-        raise ValueError(f"label {label} out of range for {n_classes} classes")
-    onehot = np.zeros(n_classes)
-    onehot[label] = 1.0
-    return -tsum(mul(tlog(softmax(scores)), Tensor(onehot)))
-
-
-def cross_entropy_batch(scores: Tensor, labels: np.ndarray) -> Tensor:
-    """Mean cross-entropy over a (N, n_classes) score matrix."""
-    n, n_classes = scores.data.shape
+def cross_entropy_rows(probs: Tensor, labels) -> Tensor:
+    """Per-row cross-entropy, -log probs[i, labels[i]], of an (N, C)
+    probability matrix; the log argument is floored like ``tlog``."""
+    n, n_classes = probs.data.shape
     labels = np.asarray(labels)
     if labels.min() < 0 or labels.max() >= n_classes:
-        raise ValueError(f"labels out of range for {n_classes} classes")
+        raise ValueError(f"label out of range for {n_classes} classes")
     onehot = np.zeros((n, n_classes))
     onehot[np.arange(n), labels] = 1.0
-    per_sample = -tsum(mul(tlog(softmax(scores)), Tensor(onehot)), axis=1)
-    return tmean(per_sample)
+    return -tsum(mul(tlog(probs), Tensor(onehot)), axis=1)
+
+
+def cross_entropy(scores: Tensor, label: int) -> Tensor:
+    """Negative log softmax probability of ``label`` for a 1-D score vector."""
+    if scores.data.ndim != 1:
+        raise ValueError(f"cross_entropy expects a 1-D score vector, got {scores.shape}")
+    return tsum(cross_entropy_rows(softmax(reshape(scores, (1, -1))), [label]))

@@ -13,6 +13,8 @@ from collections import OrderedDict
 
 import numpy as np
 
+from .reports import atomic_write
+
 MAGIC = b"SCT1"
 
 
@@ -30,8 +32,7 @@ def save_checkpoint(tensors: "OrderedDict[str, np.ndarray]", path) -> None:
         blobs.append(struct.pack("<I", a.ndim))
         blobs.append(struct.pack(f"<{a.ndim}I", *a.shape))
         blobs.append(a.tobytes())
-    with open(path, "wb") as f:
-        f.write(b"".join(blobs))
+    atomic_write(path, b"".join(blobs))
 
 
 def load_checkpoint(path) -> "OrderedDict[str, np.ndarray]":
@@ -45,9 +46,9 @@ def load_checkpoint(path) -> "OrderedDict[str, np.ndarray]":
         try:
             (nlen,) = struct.unpack_from("<I", buf, pos)
             pos += 4
-            name = buf[pos : pos + nlen].decode("utf-8")
             if len(buf) < pos + nlen:
                 raise struct.error("name")
+            name = buf[pos : pos + nlen].decode("utf-8")
             pos += nlen
             (rank,) = struct.unpack_from("<I", buf, pos)
             pos += 4
@@ -61,5 +62,7 @@ def load_checkpoint(path) -> "OrderedDict[str, np.ndarray]":
             pos = end
         except struct.error as exc:
             raise CheckpointError(f"truncated checkpoint record near byte {pos}: {exc}") from exc
+        except UnicodeDecodeError as exc:
+            raise CheckpointError(f"tensor name near byte {pos} is not UTF-8: {exc}") from exc
         out[name] = arr.astype(np.float64)
     return out

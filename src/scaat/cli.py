@@ -14,11 +14,10 @@ from pathlib import Path
 
 import numpy as np
 
-from . import seeds
 from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from .config import ConfigError, RunConfig, load_run_config, save_run_config
 from .data import DataFormatError
-from .metrics import evaluate_model, perturbation_curve, saliency_for_sample
+from .metrics import evaluate_model, evaluate_sample, saliency_for_sample
 from .models import ParamSet, predict_proba
 from .reports import export_curve_csv, export_report, write_json, write_jsonl
 from .saliency import save_csv, save_pgm
@@ -135,26 +134,16 @@ def _cmd_curves(args) -> int:
     dataset = cfg.data.load_split(args.split)
     protocol = _protocol_for(cfg, args)
     n = len(dataset) if protocol.limit is None else min(protocol.limit, len(dataset))
-    region = protocol.resolved_region(cfg.model.input_shape)
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    paths = []
-    for order in ("lerf", "morf"):
-        values = np.empty((n, protocol.steps))
-        for i in range(n):
-            x = dataset.images[i]
-            target = int(predict_proba(params, x).argmax())
-            smap = saliency_for_sample(params, x, target, protocol, rng_seed=cfg.seed + i)
-            stream_tag = 0 if order == "lerf" else 1
-            curve = perturbation_curve(
-                params, x, smap, order, protocol.steps, protocol.fraction,
-                protocol.repeats, region,
-                rng=seeds.stream(cfg.seed, seeds.EVAL, i, stream_tag),
-            )
-            values[i] = curve.values
+    curves = [
+        evaluate_sample(params, x, int(predict_proba(params, x).argmax()), protocol, cfg.seed, i)[1:]
+        for i, x in enumerate(dataset.images[:n])
+    ]
+    for k, order in enumerate(("lerf", "morf")):
+        values = np.array([pair[k].values for pair in curves]).reshape(n, protocol.steps)
         path = out / f"curves_{order}.csv"
         export_curve_csv(values.mean(axis=0), values.std(axis=0), path)
-        paths.append(path)
         print(f"{order}: mean AOPC {values.mean():.6g} -> {path}")
     return 0
 

@@ -9,12 +9,12 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, replace
-from pathlib import Path
 
 from .adversarial import AdvConfig
 from .data import Dataset, load_dataset
 from .metrics import EvalProtocol
 from .models import ModelSpec
+from .reports import write_json
 from .training import TrainConfig
 
 SCHEMA_VERSION = 1
@@ -185,7 +185,4 @@ def load_run_config(path) -> RunConfig:
 
 
 def save_run_config(cfg: RunConfig, path) -> None:
-    Path(path).parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8") as f:
-        json.dump(run_config_to_dict(cfg), f, indent=2, sort_keys=True)
-        f.write("\n")
+    write_json(run_config_to_dict(cfg), path)

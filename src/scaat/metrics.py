@@ -8,16 +8,14 @@ their averages (AOPC), with the relative score AOPC_morf / AOPC_lerf.
 
 from __future__ import annotations
 
-import os
 import zlib
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import seeds
 from .models import ParamSet, predict_proba
-from .saliency import SaliencyMap, integrated_gradients, smooth_grad, to_u8, vanilla_gsmap
+from .saliency import SaliencyMap, integrated_gradients, region_mean, smooth_grad, to_u8, vanilla_gsmap
 
 SALIENCY_METHODS = ("vanilla", "smoothgrad", "integrated")
 
@@ -61,8 +59,7 @@ class PerturbationCurve:
 
 
 def _tile_ranking(smap_values: np.ndarray, region: int, order: str) -> np.ndarray:
-    h, w = smap_values.shape
-    tiles = smap_values.reshape(h // region, region, w // region, region).mean(axis=(1, 3)).ravel()
+    tiles = region_mean(smap_values, region)[::region, ::region].ravel()
     key = tiles if order == "lerf" else -tiles
     return np.lexsort((np.arange(tiles.size), key))
 
@@ -193,21 +190,31 @@ def saliency_for_sample(params, x, target, protocol: EvalProtocol, rng_seed: int
     return integrated_gradients(params, x, target, np.zeros_like(x), protocol.ig_steps)
 
 
-def _worker_count() -> int:
-    env = os.environ.get("SCAAT_THREADS", "")
-    try:
-        return max(1, int(env)) if env else 1
-    except ValueError:
-        return 1
+def evaluate_sample(params: ParamSet, x, target: int, protocol: EvalProtocol, seed: int, index: int):
+    """Saliency map of one sample for class ``target``, and its LeRF and
+    MoRF curves; returns (map, lerf, morf).
+
+    Randomness derives from (seed, index), so a sample's result does not
+    depend on which other samples are evaluated with it.
+    """
+    region = protocol.resolved_region(params.spec.input_shape)
+    smap = saliency_for_sample(params, x, target, protocol, rng_seed=seed + index)
+
+    def curve(order: str, tag: int) -> PerturbationCurve:
+        return perturbation_curve(
+            params, x, smap, order, protocol.steps, protocol.fraction,
+            protocol.repeats, region, rng=seeds.stream(seed, seeds.EVAL, index, tag),
+        )
+
+    return smap, curve("lerf", 0), curve("morf", 1)
 
 
 def evaluate_model(params: ParamSet, dataset, protocol: EvalProtocol, seed: int = 0) -> MetricsReport:
     """Full metric sweep over a dataset split.
 
-    Saliency is taken with respect to each sample's predicted class.
-    Per-sample randomness derives from (seed, sample index), so results
-    are independent of worker scheduling. SCAAT_THREADS caps the
-    evaluation fan-out.
+    Saliency is taken with respect to each sample's predicted class. An
+    all-zero map has no entropy or Gini index; its row reads NaN there,
+    and so do those aggregates.
     """
     images = np.asarray(dataset.images, dtype=np.float64)
     labels = np.asarray(dataset.labels)
@@ -215,41 +222,27 @@ def evaluate_model(params: ParamSet, dataset, protocol: EvalProtocol, seed: int 
         images = images[: protocol.limit]
         labels = labels[: protocol.limit]
     n = images.shape[0]
-    region = protocol.resolved_region(params.spec.input_shape)
 
     preds = np.empty(n, dtype=np.int64)
     for lo in range(0, n, 256):
         preds[lo : lo + 256] = predict_proba(params, images[lo : lo + 256]).argmax(axis=1)
 
-    def one(i: int) -> dict:
-        x = images[i]
-        target = int(preds[i])
-        smap = saliency_for_sample(params, x, target, protocol, rng_seed=seed + i)
-        lerf = perturbation_curve(
-            params, x, smap, "lerf", protocol.steps, protocol.fraction,
-            protocol.repeats, region, rng=seeds.stream(seed, seeds.EVAL, i, 0),
-        )
-        morf = perturbation_curve(
-            params, x, smap, "morf", protocol.steps, protocol.fraction,
-            protocol.repeats, region, rng=seeds.stream(seed, seeds.EVAL, i, 1),
-        )
+    rows = []
+    for i in range(n):
+        smap, lerf, morf = evaluate_sample(params, images[i], int(preds[i]), protocol, seed, i)
         a_l, a_m = aopc(lerf), aopc(morf)
-        return {
-            "entropy": saliency_entropy(smap),
-            "size_kib": compressed_size(smap),
-            "gini": gini_index(smap),
-            "aopc_lerf": a_l,
-            "aopc_morf": a_m,
-            "aopc_rel": a_m / a_l if a_l != 0 else float("nan"),
-            "correct": float(preds[i] == labels[i]),
-        }
-
-    workers = _worker_count()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(one, range(n)))
-    else:
-        rows = [one(i) for i in range(n)]
+        defined = smap.values.sum() > 0
+        rows.append(
+            {
+                "entropy": saliency_entropy(smap) if defined else float("nan"),
+                "size_kib": compressed_size(smap),
+                "gini": gini_index(smap) if defined else float("nan"),
+                "aopc_lerf": a_l,
+                "aopc_morf": a_m,
+                "aopc_rel": a_m / a_l if a_l != 0 else float("nan"),
+                "correct": float(preds[i] == labels[i]),
+            }
+        )
 
     per_sample = {k: np.array([r[k] for r in rows]) for k in PER_SAMPLE_METRICS}
     agg = {k: float(per_sample[k].mean()) for k in ("entropy", "size_kib", "gini", "aopc_lerf", "aopc_morf")}

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
+from itertools import zip_longest
 
 import numpy as np
 
@@ -96,6 +97,13 @@ class ParamSet:
 
     @classmethod
     def from_arrays(cls, spec: ModelSpec, arrays) -> "ParamSet":
+        """Parameters from named arrays, which must follow ``init_model``'s
+        layout for ``spec``: same names, order and shapes."""
+        layout = [(name, shape) for name, shape, _ in _layout(spec)]
+        given = [(name, np.shape(v)) for name, v in arrays.items()]
+        for i, (want, got) in enumerate(zip_longest(layout, given)):
+            if want != got:
+                raise ValueError(f"parameter {i} does not fit the {spec.arch} layout: expected {want}, got {got}")
         od = OrderedDict(
             (k, Tensor(np.asarray(v, dtype=np.float64), requires_grad=True))
             for k, v in arrays.items()
@@ -112,34 +120,41 @@ def _uniform_fan_in(rng: np.random.Generator, fan_in: int, shape) -> np.ndarray:
     return rng.uniform(-bound, bound, size=shape)
 
 
-def init_model(spec: ModelSpec) -> ParamSet:
-    """Fan-in scaled uniform init, deterministic in ``spec.seed``."""
-    rng = seeds.stream(spec.seed, seeds.INIT)
-    params: OrderedDict[str, Tensor] = OrderedDict()
-
-    def put(name, arr):
-        params[name] = Tensor(arr, requires_grad=True)
-
+def _layout(spec: ModelSpec) -> list[tuple[str, tuple[int, ...], int]]:
+    """(name, shape, fan-in) of every parameter, in storage order."""
     if spec.arch == "mlp":
         dims = [spec.n_features, *spec.hidden, spec.n_classes]
         if any(d <= 0 for d in dims):
             raise ValueError(f"zero-sized layer in mlp dims {dims}")
+        layout = []
         for i, (din, dout) in enumerate(zip(dims[:-1], dims[1:])):
-            put(f"fc{i}.w", _uniform_fan_in(rng, din, (din, dout)))
-            put(f"fc{i}.b", _uniform_fan_in(rng, din, (dout,)))
-    else:
-        c, h, w = spec.input_shape
-        c1, c2 = spec.channels
-        if c1 <= 0 or c2 <= 0:
-            raise ValueError(f"zero-sized conv layer in channels {spec.channels}")
-        put("conv1.w", _uniform_fan_in(rng, c * 9, (c1, c, 3, 3)))
-        put("conv1.b", _uniform_fan_in(rng, c * 9, (c1,)))
-        put("conv2.w", _uniform_fan_in(rng, c1 * 9, (c2, c1, 3, 3)))
-        put("conv2.b", _uniform_fan_in(rng, c1 * 9, (c2,)))
-        flat = c2 * (h // 4) * (w // 4)
-        put("fc.w", _uniform_fan_in(rng, flat, (flat, spec.n_classes)))
-        put("fc.b", _uniform_fan_in(rng, flat, (spec.n_classes,)))
-    return ParamSet(spec, params)
+            layout += [(f"fc{i}.w", (din, dout), din), (f"fc{i}.b", (dout,), din)]
+        return layout
+    c, h, w = spec.input_shape
+    c1, c2 = spec.channels
+    if c1 <= 0 or c2 <= 0:
+        raise ValueError(f"zero-sized conv layer in channels {spec.channels}")
+    flat = c2 * (h // 4) * (w // 4)
+    return [
+        ("conv1.w", (c1, c, 3, 3), c * 9),
+        ("conv1.b", (c1,), c * 9),
+        ("conv2.w", (c2, c1, 3, 3), c1 * 9),
+        ("conv2.b", (c2,), c1 * 9),
+        ("fc.w", (flat, spec.n_classes), flat),
+        ("fc.b", (spec.n_classes,), flat),
+    ]
+
+
+def init_model(spec: ModelSpec) -> ParamSet:
+    """Fan-in scaled uniform init, deterministic in ``spec.seed``."""
+    rng = seeds.stream(spec.seed, seeds.INIT)
+    return ParamSet(
+        spec,
+        OrderedDict(
+            (name, Tensor(_uniform_fan_in(rng, fan_in, shape), requires_grad=True))
+            for name, shape, fan_in in _layout(spec)
+        ),
+    )
 
 
 def _normalize_input(spec: ModelSpec, x: np.ndarray) -> tuple[np.ndarray, bool]:

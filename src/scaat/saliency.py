@@ -134,34 +134,51 @@ def integrated_gradients(
     return (smap, signed) if return_signed else smap
 
 
-def region_average(smap: SaliencyMap, r: int) -> SaliencyMap:
-    """Replace each r x r block by its mean; output keeps the resolution."""
-    h, w = smap.values.shape
+def region_mean(values: np.ndarray, r: int) -> np.ndarray:
+    """Replace each r x r block of the last two axes by its mean; the
+    shape is kept, so any leading batch axes pass through."""
+    *lead, h, w = values.shape
     if r < 1 or h % r or w % r:
         raise ValueError(f"region side {r} must divide map shape {(h, w)}")
-    blocks = smap.values.reshape(h // r, r, w // r, r).mean(axis=(1, 3))
-    out = np.repeat(np.repeat(blocks, r, axis=0), r, axis=1)
-    return SaliencyMap(out, method=smap.method, region=r)
+    blocks = values.reshape(*lead, h // r, r, w // r, r).mean(axis=(-3, -1))
+    return np.repeat(np.repeat(blocks, r, axis=-2), r, axis=-1)
+
+
+def quantile_thresholds(flat: np.ndarray, q) -> np.ndarray:
+    """Per row of (N, S) values: the ascending-sort element at position
+    floor(q_i * S), or +inf when that position is past the end."""
+    n, s = flat.shape
+    q = np.broadcast_to(np.asarray(q, dtype=np.float64), (n,))
+    if s == 0:
+        raise ValueError("quantile of an empty collection")
+    bad = q[(q < 0.0) | (q > 1.0)]
+    if bad.size:
+        raise ValueError(f"quantile fraction must be in [0, 1], got {bad[0]}")
+    pos = np.floor(q * s).astype(np.int64)
+    picked = np.sort(flat, axis=1)[np.arange(n), np.minimum(pos, s - 1)]
+    return np.where(pos < s, picked, np.inf)
+
+
+def lowest_masks(maps: np.ndarray, q) -> np.ndarray:
+    """Boolean (N, S) masks of each map's pixels strictly below its
+    bottom-q_i quantile value, over the flattened (N, ...) maps."""
+    flat = maps.reshape(maps.shape[0], -1)
+    return flat < quantile_thresholds(flat, q)[:, None]
+
+
+def region_average(smap: SaliencyMap, r: int) -> SaliencyMap:
+    """Replace each r x r block by its mean; output keeps the resolution."""
+    return SaliencyMap(region_mean(smap.values, r), method=smap.method, region=r)
 
 
 def quantile_threshold(values, q: float) -> float:
     """Ascending-sort element at position floor(q * n); +inf when q = 1."""
-    arr = np.asarray(values, dtype=np.float64).ravel()
-    if arr.size == 0:
-        raise ValueError("quantile of an empty collection")
-    if not 0.0 <= q <= 1.0:
-        raise ValueError(f"quantile fraction must be in [0, 1], got {q}")
-    pos = int(np.floor(q * arr.size))
-    if pos >= arr.size:
-        return np.inf
-    return float(np.sort(arr)[pos])
+    return float(quantile_thresholds(np.asarray(values, dtype=np.float64).reshape(1, -1), q)[0])
 
 
 def lowest(smap: SaliencyMap, q: float) -> IndexSet:
     """Flat indices of pixels strictly below the bottom-q quantile value."""
-    flat = smap.values.ravel()
-    thr = quantile_threshold(flat, q)
-    return np.flatnonzero(flat < thr).astype(np.int64)
+    return np.flatnonzero(lowest_masks(smap.values[None], q)[0]).astype(np.int64)
 
 
 # -- export ---------------------------------------------------------------

@@ -17,9 +17,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import seeds
-from .adversarial import AdvConfig, js_bits_pair, perturb_batch
-from .autodiff import Tensor, cross_entropy, mul, softmax, softmax_np, tlog, tmean, tsum
+from .adversarial import AdvConfig, js_bits, perturb_batch
+from .autodiff import Tensor, cross_entropy_rows, mul, softmax, softmax_np, tmean
 from .models import ModelSpec, ParamSet, forward_eval, init_model
+from .saliency import batch_gsmap_scores, lowest_masks, region_mean
 
 MODES = ("regular", "scaat_fixed_q", "scaat_adaptive_q")
 
@@ -115,53 +116,20 @@ class TrainResult:
 def scaat_loss(params: ParamSet, x, x_adv, y: int, lam: float) -> Tensor:
     """Single-sample objective: CE on the clean input plus lam * JS
     between the output distributions on perturbed and clean input."""
-    scores = forward_eval(params, x)
-    ce = cross_entropy(scores, int(y))
-    if lam == 0.0:
-        return ce
-    scores_adv = forward_eval(params, x_adv)
-    p = softmax(scores.reshape((1, -1)))
-    pa = softmax(scores_adv.reshape((1, -1)))
-    js = tsum(js_bits_pair(pa, p))
-    return ce + mul(js, Tensor(float(lam)))
+    return _batch_loss(params, np.asarray(x)[None], np.asarray(x_adv)[None], [int(y)], lam)[0]
 
 
 def _batch_loss(params, x, x_adv, labels, lam):
     """Batched loss graph; returns (loss, ce values, js values, clean scores)."""
     scores = forward_eval(params, x)
-    n, n_classes = scores.data.shape
-    onehot = np.zeros((n, n_classes))
-    onehot[np.arange(n), labels] = 1.0
     probs = softmax(scores)
-    ce_vec = -tsum(mul(tlog(probs), Tensor(onehot)), axis=1)
+    ce_vec = cross_entropy_rows(probs, labels)
     if x_adv is None or lam == 0.0:
         return tmean(ce_vec), ce_vec.data.copy(), None, scores.data
     probs_adv = softmax(forward_eval(params, x_adv))
-    js_vec = js_bits_pair(probs_adv, probs)
+    js_vec = js_bits(probs_adv, probs)
     loss = tmean(ce_vec + mul(js_vec, Tensor(float(lam))))
     return loss, ce_vec.data.copy(), js_vec.data.copy(), scores.data
-
-
-def _region_average_batch(maps: np.ndarray, r: int) -> np.ndarray:
-    n, h, w = maps.shape
-    if h % r or w % r:
-        raise ValueError(f"train region side {r} must divide input extents {(h, w)}")
-    blocks = maps.reshape(n, h // r, r, w // r, r).mean(axis=(2, 4))
-    return np.repeat(np.repeat(blocks, r, axis=1), r, axis=2)
-
-
-def _lowest_masks(maps: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Per-sample bottom-q_i masks over flattened pixel values."""
-    n, h, w = maps.shape
-    flat = maps.reshape(n, -1)
-    s = flat.shape[1]
-    srt = np.sort(flat, axis=1)
-    masks = np.zeros((n, s), dtype=bool)
-    for i in range(n):
-        pos = int(math.floor(q[i] * s))
-        thr = np.inf if pos >= s else srt[i, pos]
-        masks[i] = flat[i] < thr
-    return masks
 
 
 def _batches(n: int, batch_size: int, n_iter: int, rng: np.random.Generator):
@@ -182,8 +150,6 @@ def scaat_train(dataset, spec: ModelSpec, cfg: TrainConfig) -> TrainResult:
     Emits one log record per iteration with the loss terms, the global
     mean perturbation proportion and the batch accuracy.
     """
-    from .saliency import batch_gsmap_scores  # local import avoids a cycle
-
     images = np.asarray(dataset.images, dtype=np.float64)
     labels = np.asarray(dataset.labels)
     n = images.shape[0]
@@ -216,8 +182,7 @@ def scaat_train(dataset, spec: ModelSpec, cfg: TrainConfig) -> TrainResult:
         adv_objective = None
         if adversarial_mode:
             maps, clean_scores = batch_gsmap_scores(params, x, y)
-            ravg = _region_average_batch(maps, region)
-            masks = _lowest_masks(ravg, qstate.q[idx])
+            masks = lowest_masks(region_mean(maps, region), qstate.q[idx])
             p_clean = softmax_np(clean_scores, axis=-1)
             delta, adv_objective, p_adv = perturb_batch(
                 params, x, cfg.adv, masks, rng_pgd, p_clean=p_clean

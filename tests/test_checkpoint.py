@@ -1,3 +1,4 @@
+import os
 from collections import OrderedDict
 
 import numpy as np
@@ -57,3 +58,32 @@ def test_little_endian_layout(tmp_path):
     assert blob[10:14] == (1).to_bytes(4, "little")  # rank
     assert blob[14:18] == (2).to_bytes(4, "little")  # extent
     assert blob[18:] == np.array([1.0, 2.0], dtype="<f4").tobytes()
+
+
+def test_every_cut_point_loads_a_prefix_or_raises(tmp_path, rng):
+    tensors = OrderedDict([("conv1.wé", rng.standard_normal((2, 3))), ("ünï.b", rng.standard_normal(2))])
+    path = tmp_path / "m.sct"
+    save_checkpoint(tensors, path)
+    blob = path.read_bytes()
+    for cut in range(len(blob)):
+        path.write_bytes(blob[:cut])
+        try:
+            loaded = load_checkpoint(path)
+        except CheckpointError:
+            continue
+        assert list(loaded) == list(tensors)[: len(loaded)], cut
+
+
+def test_failed_replace_keeps_old_file(tmp_path, rng, monkeypatch):
+    path = tmp_path / "m.sct"
+    save_checkpoint(OrderedDict([("w", np.ones(3))]), path)
+    old = path.read_bytes()
+
+    def fail(src, dst):
+        raise OSError("replace refused")
+
+    monkeypatch.setattr(os, "replace", fail)
+    with pytest.raises(OSError, match="replace refused"):
+        save_checkpoint(OrderedDict([("w", rng.standard_normal(5))]), path)
+    assert path.read_bytes() == old
+    assert [p.name for p in tmp_path.iterdir()] == ["m.sct"]

@@ -1,4 +1,4 @@
-import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,7 +14,7 @@ from scaat.metrics import (
     perturbation_curve,
     saliency_entropy,
 )
-from scaat.models import ModelSpec, init_model
+from scaat.models import ModelSpec, ParamSet, init_model
 from scaat.saliency import SaliencyMap
 from conftest import linear_model
 
@@ -206,17 +206,26 @@ class TestEvaluateModel:
         )
         assert report.n_samples == 12
 
-    def test_threaded_evaluation_identical(self):
+    def test_limit_rows_equal_full_run_prefix(self):
+        # per-sample randomness is keyed by (seed, sample index)
         params, data = self.make_setup()
-        protocol = EvalProtocol(steps=4, fraction=0.4, repeats=2, region=2, limit=8)
-        base = evaluate_model(params, data, protocol, seed=5)
-        os.environ["SCAAT_THREADS"] = "2"
-        try:
-            threaded = evaluate_model(params, data, protocol, seed=5)
-        finally:
-            del os.environ["SCAAT_THREADS"]
-        for key in base.per_sample:
-            np.testing.assert_array_equal(base.per_sample[key], threaded.per_sample[key])
+        protocol = EvalProtocol(steps=4, fraction=0.4, repeats=2, region=2)
+        full = evaluate_model(params, data, protocol, seed=5)
+        limited = evaluate_model(params, data, replace(protocol, limit=8), seed=5)
+        for key in full.per_sample:
+            np.testing.assert_array_equal(limited.per_sample[key], full.per_sample[key][:8])
+
+    def test_all_zero_saliency_map_evaluates(self):
+        params, data = self.make_setup()
+        arrays = {k: np.zeros_like(v) for k, v in params.arrays().items()}
+        arrays["fc.b"] = np.array([0.3, -0.2])
+        report = evaluate_model(ParamSet.from_arrays(params.spec, arrays), data, EvalProtocol(steps=4, region=2), seed=0)
+        for key in ("entropy", "gini"):
+            assert np.all(np.isnan(report.per_sample[key]))
+            assert np.isnan(report.aggregates[key])
+        for key in ("aopc_lerf", "aopc_morf", "size_kib"):
+            assert np.all(np.isfinite(report.per_sample[key]))
+        assert report.aggregates["accuracy"] == pytest.approx(np.mean(data.labels == 0), abs=1e-12)
 
     def test_saliency_method_switch(self):
         params, data = self.make_setup()

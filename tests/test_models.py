@@ -50,6 +50,19 @@ class TestInit:
         assert np.all(np.abs(w) <= bound)
         assert w.std() > 0.1 * bound
 
+    def test_from_arrays_checks_layout(self):
+        spec = ModelSpec("cnn", (1, 8, 8), 2, channels=(2, 3), seed=0)
+        arrays = init_model(spec).arrays()
+        cases = [
+            ({"conv1.w": arrays["conv1.w"]}, "parameter 1 .*'conv1.b'.*got None"),
+            ({**arrays, "extra": np.zeros(1)}, "parameter 6 .*expected None"),
+            ({**arrays, "conv2.w": np.zeros((3, 2, 3, 1))}, r"parameter 2 .*\(3, 2, 3, 3\).*\(3, 2, 3, 1\)"),
+            (dict(reversed(list(arrays.items()))), "parameter 0 .*'conv1.w'.*'fc.b'"),
+        ]
+        for bad, message in cases:
+            with pytest.raises(ValueError, match=message):
+                ParamSet.from_arrays(spec, bad)
+
     def test_zero_sized_layer_rejected(self):
         with pytest.raises(ValueError, match="zero-sized"):
             init_model(ModelSpec("mlp", (1, 2, 2), 2, hidden=(0,)))

@@ -1,4 +1,5 @@
 import json
+import os
 
 import pytest
 
@@ -45,6 +46,20 @@ class TestRunConfig:
         save_run_config(cfg, path)
         loaded = load_run_config(path)
         assert run_config_to_dict(loaded) == run_config_to_dict(cfg)
+
+    def test_failed_replace_keeps_old_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "run.json"
+        save_run_config(tiny_run_config(tmp_path), path)
+        old = path.read_bytes()
+
+        def fail(src, dst):
+            raise OSError("replace refused")
+
+        monkeypatch.setattr(os, "replace", fail)
+        with pytest.raises(OSError, match="replace refused"):
+            save_run_config(tiny_run_config(tmp_path / "other"), path)
+        assert path.read_bytes() == old
+        assert [p.name for p in tmp_path.iterdir()] == ["run.json"]
 
     def test_schema_gate(self):
         with pytest.raises(ValueError, match="schema"):

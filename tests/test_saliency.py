@@ -6,8 +6,10 @@ from scaat.saliency import (
     SaliencyMap,
     integrated_gradients,
     lowest,
+    lowest_masks,
     quantile_threshold,
     region_average,
+    region_mean,
     save_csv,
     save_pgm,
     smooth_grad,
@@ -156,6 +158,12 @@ class TestRegionAverage:
         with pytest.raises(ValueError, match="divide"):
             region_average(smap, 4)
 
+    def test_batch_matches_single(self, rng):
+        maps = rng.uniform(0, 1, (5, 8, 8))
+        batch = region_mean(maps, 2)
+        for i in range(5):
+            np.testing.assert_array_equal(batch[i], region_average(SaliencyMap(maps[i], "vanilla"), 2).values)
+
 
 class TestQuantileAndLowest:
     def test_zero_quantile_is_minimum(self):
@@ -198,6 +206,24 @@ class TestQuantileAndLowest:
             cur = set(lowest(smap, q).tolist())
             assert prev <= cur
             prev = cur
+
+
+class TestLowestMasks:
+    def test_matches_public_ops(self, rng):
+        maps = rng.uniform(0, 1, (7, 8, 8))
+        q = np.concatenate([rng.uniform(0.1, 0.9, 5), [0.0, 1.0]])
+        masks = lowest_masks(maps, q)
+        for i in range(7):
+            flat = maps[i].ravel()
+            pos = int(np.floor(q[i] * flat.size))
+            thr = np.sort(flat)[pos] if pos < flat.size else np.inf
+            np.testing.assert_array_equal(np.flatnonzero(masks[i]), np.flatnonzero(flat < thr))
+            expected = lowest(SaliencyMap(maps[i], "vanilla"), q[i])
+            np.testing.assert_array_equal(np.flatnonzero(masks[i]), expected)
+
+    def test_fraction_out_of_range(self, rng):
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            lowest_masks(rng.uniform(0, 1, (2, 4, 4)), [0.5, 1.5])
 
 
 class TestExport:

@@ -5,12 +5,10 @@ from scaat.adversarial import AdvConfig
 from scaat.autodiff import cross_entropy, Tensor
 from scaat.data import generate_half_informative
 from scaat.models import ModelSpec
-from scaat.saliency import SaliencyMap, lowest
 from scaat.training import (
     QState,
     TrainConfig,
     TrainingDiverged,
-    _lowest_masks,
     scaat_loss,
     scaat_train,
     update_q,
@@ -106,16 +104,6 @@ def tiny_cfg(**kw):
     )
     defaults.update(kw)
     return TrainConfig(**defaults)
-
-
-class TestLowestMasks:
-    def test_matches_public_ops(self, rng):
-        maps = rng.uniform(0, 1, (5, 8, 8))
-        q = rng.uniform(0.1, 0.9, 5)
-        masks = _lowest_masks(maps, q)
-        for i in range(5):
-            expected = lowest(SaliencyMap(maps[i], "vanilla"), q[i])
-            np.testing.assert_array_equal(np.flatnonzero(masks[i]), expected)
 
 
 class TestScaatTrain:
