@@ -20,8 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import seeds
-from .autodiff import Tensor, mul, softmax, softmax_np, tlog, tsum
-from .models import ParamSet, forward_eval, scores_np
+from .autodiff import Tensor, mul, softmax, tlog, tsum
+from .models import ParamSet, forward_eval
 from .saliency import IndexSet
 
 _LN2 = float(np.log(2.0))
@@ -139,17 +139,15 @@ def _project(delta, x, eps, mask_pix):
     return np.clip(delta, -x, 1.0 - x)
 
 
-def _objective_and_grad(frozen, x_adv, p_clean):
-    xt = Tensor(x_adv, requires_grad=True)
+def _objective(frozen, x_adv, p_clean, grad=False):
+    """Row-wise JS (bits) between the model's outputs at ``x_adv`` and
+    ``p_clean``; returns (js, d sum(js) / d x_adv or None, adv probs)."""
+    xt = Tensor(x_adv, requires_grad=grad)
     probs = softmax(forward_eval(frozen, xt))
     js_vec = js_bits(probs, Tensor(p_clean))
-    tsum(js_vec).backward()
-    return js_vec.data.copy(), xt.grad, probs.data
-
-
-def _objective_plain(frozen, x_adv, p_clean):
-    probs = softmax_np(scores_np(frozen, x_adv), axis=-1)
-    return js_bits_np(probs, p_clean), probs
+    if grad:
+        tsum(js_vec).backward()
+    return js_vec.data, xt.grad, probs.data
 
 
 def perturb_batch(
@@ -175,7 +173,12 @@ def perturb_batch(
     eps = cfg.epsilon
 
     if p_clean is None:
-        p_clean = softmax_np(scores_np(frozen, x), axis=-1)
+        p_clean = softmax(forward_eval(frozen, x)).data
+    else:
+        # Shape (N, n_classes) and rows on the simplex, checked against a
+        # uniform reference of that shape.
+        n_classes = params.spec.n_classes
+        p_clean, _ = _checked_rows(p_clean, np.full((n, n_classes), 1.0 / n_classes))
 
     # Uniform random start, but pick the better of the two mirrored signs
     # per sample: the objective is locally U-shaped around the clean
@@ -183,14 +186,14 @@ def perturb_batch(
     draw = rng.uniform(-eps, eps, size=x.shape) * mask_pix
     d_plus = _project(draw, x, eps, mask_pix)
     d_minus = _project(-draw, x, eps, mask_pix)
-    j_plus, _ = _objective_plain(frozen, x + d_plus, p_clean)
-    j_minus, _ = _objective_plain(frozen, x + d_minus, p_clean)
+    j_plus = _objective(frozen, x + d_plus, p_clean)[0]
+    j_minus = _objective(frozen, x + d_minus, p_clean)[0]
     delta = np.where((j_plus >= j_minus)[:, None, None, None], d_plus, d_minus)
 
     if cfg.variant == "fgsm":
-        _, grad, _ = _objective_and_grad(frozen, x + delta, p_clean)
+        grad = _objective(frozen, x + delta, p_clean, grad=True)[1]
         delta = _project(eps * np.sign(grad) * mask_pix, x, eps, mask_pix)
-        obj, probs = _objective_plain(frozen, x + delta, p_clean)
+        obj, _, probs = _objective(frozen, x + delta, p_clean)
         return (delta, obj, probs, obj[None]) if return_candidates else (delta, obj, probs)
 
     alpha = cfg.step_size
@@ -198,15 +201,13 @@ def perturb_batch(
     cand_objs = np.empty((cfg.k, n))
     cand_probs = np.empty((cfg.k, n, p_clean.shape[-1]))
     for t in range(cfg.k):
-        if t == 0:
-            _, grad, _ = _objective_and_grad(frozen, x + delta, p_clean)
-        else:
-            obj, grad, probs = _objective_and_grad(frozen, x + delta, p_clean)
+        obj, grad, probs = _objective(frozen, x + delta, p_clean, grad=True)
+        if t > 0:
             cand_objs[t - 1] = obj
             cand_probs[t - 1] = probs
         delta = _project(delta + alpha * np.sign(grad), x, eps, mask_pix)
         cand_deltas[t] = delta
-    cand_objs[-1], cand_probs[-1] = _objective_plain(frozen, x + delta, p_clean)
+    cand_objs[-1], _, cand_probs[-1] = _objective(frozen, x + delta, p_clean)
 
     best = cand_objs.argmax(axis=0)
     rows = np.arange(n)

@@ -374,11 +374,6 @@ def _conv2d_forward(x: np.ndarray, w: np.ndarray, stride: int, padding: int):
     return out, cols
 
 
-def conv2d_np(x: np.ndarray, w: np.ndarray, stride: int = 1, padding: int = 0) -> np.ndarray:
-    """Plain cross-correlation of (N,C,H,W) with (F,C,kh,kw) filters."""
-    return _conv2d_forward(x, w, stride, padding)[0]
-
-
 def _conv2d_weight_grad(g: np.ndarray, cols: np.ndarray, w_shape) -> np.ndarray:
     f, c, kh, kw = w_shape
     gm = np.ascontiguousarray(g.transpose(1, 0, 2, 3)).reshape(f, -1)
@@ -420,27 +415,21 @@ def conv2d(a: Tensor, w: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
     return _make(out, (a, w), bwd)
 
 
-def max_pool2d_np(x: np.ndarray, k: int):
-    n, c, h, w = x.shape
+def max_pool2d(a: Tensor, k: int) -> Tensor:
+    """Non-overlapping k x k max pooling; ties route to the first maximum."""
+    n, c, h, w = a.data.shape
     if h % k or w % k:
         raise ValueError(f"pool size {k} must divide spatial extents {(h, w)}")
-    win = x.reshape(n, c, h // k, k, w // k, k).transpose(0, 1, 2, 4, 3, 5)
+    win = a.data.reshape(n, c, h // k, k, w // k, k).transpose(0, 1, 2, 4, 3, 5)
     flat = win.reshape(n, c, h // k, w // k, k * k)
     idx = flat.argmax(axis=-1)
     out = np.take_along_axis(flat, idx[..., None], axis=-1)[..., 0]
-    return out, idx
-
-
-def max_pool2d(a: Tensor, k: int) -> Tensor:
-    """Non-overlapping k x k max pooling; ties route to the first maximum."""
-    out, idx = max_pool2d_np(a.data, k)
 
     def bwd(g):
-        n, c, h, w = a.data.shape
-        flat = np.zeros((n, c, h // k, w // k, k * k))
-        np.put_along_axis(flat, idx[..., None], g[..., None], axis=-1)
+        dflat = np.zeros((n, c, h // k, w // k, k * k))
+        np.put_along_axis(dflat, idx[..., None], g[..., None], axis=-1)
         a._accum(
-            flat.reshape(n, c, h // k, w // k, k, k)
+            dflat.reshape(n, c, h // k, w // k, k, k)
             .transpose(0, 1, 2, 4, 3, 5)
             .reshape(n, c, h, w)
         )

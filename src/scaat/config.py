@@ -2,13 +2,15 @@
 
 The top-level seed is the single source of randomness; it is copied
 into the model init and training streams so a run is reproducible from
-the config file alone.
+the config file alone. The sections are written and read by walking the
+fields of the dataclasses they hold, so each default is stated once, on
+its dataclass.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import MISSING, dataclass, fields, is_dataclass, replace
 
 from .adversarial import AdvConfig
 from .data import Dataset, load_dataset
@@ -67,116 +69,86 @@ class RunConfig:
         )
 
 
+# Document section -> the dataclass it holds. Inside a section every
+# field is one key, except that ``seed`` comes from the top level and
+# ``TrainConfig.adv``'s fields sit flat in "train".
+_SECTIONS = {"model": ModelSpec, "train": TrainConfig, "eval": EvalProtocol, "data": DataConfig}
+_KEYS = {"lam": "lambda"}  # field name -> document key, where they differ
+
+
+def _section_dict(obj) -> dict:
+    out = {}
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        if is_dataclass(value):
+            out.update(_section_dict(value))
+        elif f.name != "seed":
+            out[_KEYS.get(f.name, f.name)] = list(value) if isinstance(value, tuple) else value
+    return out
+
+
 def run_config_to_dict(cfg: RunConfig) -> dict:
-    t, a, p, d = cfg.train, cfg.train.adv, cfg.protocol, cfg.data
-    return {
-        "schema": SCHEMA_VERSION,
-        "seed": cfg.seed,
-        "out_dir": cfg.out_dir,
-        "model": {
-            "arch": cfg.model.arch,
-            "input_shape": list(cfg.model.input_shape),
-            "n_classes": cfg.model.n_classes,
-            "hidden": list(cfg.model.hidden),
-            "channels": list(cfg.model.channels),
-        },
-        "train": {
-            "mode": t.mode,
-            "lambda": t.lam,
-            "batch_size": t.batch_size,
-            "n_iter": t.n_iter,
-            "lr": t.lr,
-            "momentum": t.momentum,
-            "epsilon": a.epsilon,
-            "k": a.k,
-            "alpha": a.alpha,
-            "variant": a.variant,
-            "q0": t.q0,
-            "gamma": t.gamma,
-            "q_min": t.q_min,
-            "q_max": t.q_max,
-            "warmup_iters": t.warmup_iters,
-            "train_region": t.train_region,
-        },
-        "eval": p.to_dict(),
-        "data": {
-            "format": d.format,
-            "train": d.train,
-            "test": d.test,
-            "labels_train": d.labels_train,
-            "labels_test": d.labels_test,
-            "n_train": d.n_train,
-            "n_test": d.n_test,
-            "n_classes": d.n_classes,
-        },
-    }
+    doc = {"schema": SCHEMA_VERSION, "seed": cfg.seed, "out_dir": cfg.out_dir}
+    for name, section in zip(_SECTIONS, (cfg.model, cfg.train, cfg.protocol, cfg.data)):
+        doc[name] = _section_dict(section)
+    return doc
+
+
+def _coerce(default, value, where: str):
+    """``value`` as the type of the field's default; as given when the
+    default is None."""
+    if default is None:
+        return value
+    try:
+        if isinstance(default, str) and not isinstance(value, str):
+            raise TypeError
+        return type(default)(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{where}: cannot read {value!r} as {type(default).__name__}") from None
+
+
+def _load_section(cls, doc: dict, name: str, seed: int):
+    kwargs = {}
+    for f in fields(cls):
+        default = f.default if f.default is not MISSING else f.default_factory()
+        key = _KEYS.get(f.name, f.name)
+        if f.name == "seed":
+            kwargs[f.name] = seed
+        elif is_dataclass(default):
+            kwargs[f.name] = _load_section(type(default), doc, name, seed)
+        elif key in doc:
+            kwargs[f.name] = _coerce(default, doc[key], f"{name}.{key}")
+    try:
+        return cls(**kwargs)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{name}: {exc}") from None
+
+
+def _check_keys(doc, known, name: str, prefix: str) -> None:
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{name}: expected a JSON object, got {type(doc).__name__}")
+    unknown = sorted(set(doc) - set(known))
+    if unknown:
+        raise ConfigError(f"unknown key {prefix}{unknown[0]}")
 
 
 def run_config_from_dict(doc: dict) -> RunConfig:
-    if doc.get("schema") != SCHEMA_VERSION:
+    """Missing keys take the dataclass defaults; a non-object section, an
+    unknown key or a value of the wrong type raises ``ConfigError``."""
+    if isinstance(doc, dict) and doc.get("schema") != SCHEMA_VERSION:
         raise ConfigError(
             f"unsupported config schema {doc.get('schema')!r}, expected {SCHEMA_VERSION}"
         )
-    seed = int(doc.get("seed", 0))
-    m = doc.get("model", {})
-    model = ModelSpec(
-        arch=m.get("arch", "cnn"),
-        input_shape=tuple(m.get("input_shape", (3, 32, 32))),
-        n_classes=int(m.get("n_classes", 10)),
-        hidden=tuple(m.get("hidden", (64,))),
-        channels=tuple(m.get("channels", (16, 32))),
-        seed=seed,
-    )
-    t = doc.get("train", {})
-    adv = AdvConfig(
-        epsilon=float(t.get("epsilon", 8.0 / 255.0)),
-        k=int(t.get("k", 4)),
-        alpha=t.get("alpha"),
-        variant=t.get("variant", "pgd"),
-    )
-    train = TrainConfig(
-        mode=t.get("mode", "scaat_adaptive_q"),
-        lam=float(t.get("lambda", 1.0)),
-        batch_size=int(t.get("batch_size", 64)),
-        n_iter=int(t.get("n_iter", 500)),
-        lr=float(t.get("lr", 0.05)),
-        momentum=float(t.get("momentum", 0.9)),
-        seed=seed,
-        adv=adv,
-        q0=float(t.get("q0", 0.5)),
-        gamma=float(t.get("gamma", 0.05)),
-        q_min=float(t.get("q_min", 0.1)),
-        q_max=float(t.get("q_max", 0.9)),
-        warmup_iters=t.get("warmup_iters"),
-        train_region=t.get("train_region"),
-    )
-    e = doc.get("eval", {})
-    protocol = EvalProtocol(
-        saliency=e.get("saliency", "vanilla"),
-        steps=int(e.get("steps", 20)),
-        fraction=float(e.get("fraction", 0.2)),
-        repeats=int(e.get("repeats", 5)),
-        region=e.get("region"),
-        smooth_samples=int(e.get("smooth_samples", 25)),
-        smooth_sigma=float(e.get("smooth_sigma", 0.1)),
-        ig_steps=int(e.get("ig_steps", 32)),
-        limit=e.get("limit"),
-    )
-    d = doc.get("data", {})
-    data = DataConfig(
-        format=d.get("format", "synthetic-spec"),
-        train=d.get("train", DataConfig.train),
-        test=d.get("test"),
-        labels_train=d.get("labels_train"),
-        labels_test=d.get("labels_test"),
-        n_train=d.get("n_train"),
-        n_test=d.get("n_test"),
-        n_classes=int(d.get("n_classes", 2)),
-    )
-    return RunConfig(
-        model=model, train=train, protocol=protocol, data=data,
-        out_dir=doc.get("out_dir", "runs/out"), seed=seed,
-    )
+    _check_keys(doc, ("schema", "seed", "out_dir", *_SECTIONS), "run config", "")
+    seed = _coerce(RunConfig.seed, doc.get("seed", RunConfig.seed), "seed")
+    out_dir = _coerce(RunConfig.out_dir, doc.get("out_dir", RunConfig.out_dir), "out_dir")
+    sections = []
+    for name, cls in _SECTIONS.items():
+        section = doc.get(name, {})
+        _check_keys(section, _section_dict(cls()), name, f"{name}.")
+        sections.append(_load_section(cls, section, name, seed))
+    model, train, protocol, data = sections
+    return RunConfig(model=model, train=train, protocol=protocol, data=data, out_dir=out_dir, seed=seed)
 
 
 def load_run_config(path) -> RunConfig:

@@ -9,7 +9,7 @@ their averages (AOPC), with the relative score AOPC_morf / AOPC_lerf.
 from __future__ import annotations
 
 import zlib
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -140,6 +140,8 @@ class EvalProtocol:
     def __post_init__(self):
         if self.saliency not in SALIENCY_METHODS:
             raise ValueError(f"saliency must be one of {SALIENCY_METHODS}, got {self.saliency!r}")
+        if self.limit is not None and self.limit < 1:
+            raise ValueError(f"limit must be >= 1, got {self.limit}")
 
     def resolved_region(self, input_shape) -> int:
         if self.region is not None:
@@ -147,19 +149,6 @@ class EvalProtocol:
         _, h, w = input_shape
         m = min(h, w)
         return 8 if m >= 96 else 4 if m >= 32 else 2
-
-    def to_dict(self) -> dict:
-        return {
-            "saliency": self.saliency,
-            "steps": self.steps,
-            "fraction": self.fraction,
-            "repeats": self.repeats,
-            "region": self.region,
-            "smooth_samples": self.smooth_samples,
-            "smooth_sigma": self.smooth_sigma,
-            "ig_steps": self.ig_steps,
-            "limit": self.limit,
-        }
 
 
 PER_SAMPLE_METRICS = ("entropy", "size_kib", "gini", "aopc_lerf", "aopc_morf", "aopc_rel", "correct")
@@ -251,7 +240,7 @@ def evaluate_model(params: ParamSet, dataset, protocol: EvalProtocol, seed: int 
     return MetricsReport(
         per_sample=per_sample,
         aggregates=agg,
-        protocol=protocol.to_dict(),
+        protocol=asdict(protocol),
         seed=seed,
         n_samples=n,
     )

@@ -1,8 +1,9 @@
 """Small image classifiers: an MLP and a two-block CNN.
 
 Both take (C,H,W) images (optionally batched) and emit raw class scores.
-``forward_eval`` builds a gradient graph; ``scores_np`` is the plain
-numpy path used wherever gradients are not needed.
+``forward_eval`` is the one forward: it builds a gradient graph when a
+parameter or the input requires one. ``scores_np`` and ``predict_proba``
+call it on the frozen parameters, where no graph is recorded.
 """
 
 from __future__ import annotations
@@ -14,17 +15,7 @@ from itertools import zip_longest
 import numpy as np
 
 from . import seeds
-from .autodiff import (
-    Tensor,
-    conv2d,
-    conv2d_np,
-    matmul,
-    max_pool2d,
-    max_pool2d_np,
-    relu,
-    reshape,
-    softmax_np,
-)
+from .autodiff import Tensor, conv2d, matmul, max_pool2d, relu, reshape, softmax_np
 
 ARCHS = ("mlp", "cnn")
 
@@ -33,9 +24,9 @@ ARCHS = ("mlp", "cnn")
 class ModelSpec:
     """Architecture tag plus the shapes that pin every parameter."""
 
-    arch: str
-    input_shape: tuple[int, int, int]
-    n_classes: int
+    arch: str = "cnn"
+    input_shape: tuple[int, int, int] = (3, 32, 32)
+    n_classes: int = 10
     hidden: tuple[int, ...] = (64,)
     channels: tuple[int, int] = (16, 32)
     seed: int = 0
@@ -203,30 +194,11 @@ def forward_eval(params: ParamSet, x) -> Tensor:
 
 
 def scores_np(params: ParamSet, x: np.ndarray) -> np.ndarray:
-    """Raw class scores on the plain numpy path (no graph)."""
-    spec = params.spec
-    batched, single = _normalize_input(spec, np.asarray(x, dtype=np.float64))
-    w = params.arrays()
-
-    if spec.arch == "mlp":
-        h = batched.reshape(batched.shape[0], spec.n_features)
-        n_layers = len(spec.hidden) + 1
-        for i in range(n_layers):
-            h = h @ w[f"fc{i}.w"] + w[f"fc{i}.b"]
-            if i < n_layers - 1:
-                h = np.maximum(h, 0.0)
-    else:
-        h = conv2d_np(batched, w["conv1.w"], padding=1)
-        h = np.maximum(h + w["conv1.b"].reshape(1, -1, 1, 1), 0.0)
-        h, _ = max_pool2d_np(h, 2)
-        h = conv2d_np(h, w["conv2.w"], padding=1)
-        h = np.maximum(h + w["conv2.b"].reshape(1, -1, 1, 1), 0.0)
-        h, _ = max_pool2d_np(h, 2)
-        h = h.reshape(batched.shape[0], -1) @ w["fc.w"] + w["fc.b"]
-
-    return h[0] if single else h
+    """Raw class scores as an array: ``forward_eval`` on the frozen
+    parameters, so no graph is recorded."""
+    return forward_eval(params.frozen(), x).data
 
 
 def predict_proba(params: ParamSet, x: np.ndarray) -> np.ndarray:
-    """Softmax class probabilities (plain numpy path)."""
+    """Softmax class probabilities, without a graph."""
     return softmax_np(scores_np(params, x), axis=-1)

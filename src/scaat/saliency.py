@@ -42,6 +42,12 @@ def _channel_reduce(grads: np.ndarray) -> np.ndarray:
 
 
 def _input_grads_scores(params: ParamSet, x: np.ndarray, ys: np.ndarray):
+    """d score_{y_i} / d x_i for every sample of a batch in one backward
+    sweep, and the scores from the same forward.
+
+    Samples do not interact in the forward pass, so the gradient of the
+    summed per-sample target scores separates exactly per sample.
+    """
     frozen = params.frozen()
     x = np.asarray(x, dtype=np.float64)
     ys = np.atleast_1d(np.asarray(ys))
@@ -56,30 +62,17 @@ def _input_grads_scores(params: ParamSet, x: np.ndarray, ys: np.ndarray):
     return xt.grad.reshape(-1, *params.spec.input_shape), score_values
 
 
-def batch_input_grads(params: ParamSet, x: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    """d score_{y_i} / d x_i for every sample, in one backward sweep.
-
-    Samples do not interact in the forward pass, so the gradient of the
-    summed per-sample target scores separates exactly per sample.
-    """
-    return _input_grads_scores(params, x, ys)[0]
-
-
 def vanilla_gsmap(params: ParamSet, x: np.ndarray, y: int) -> SaliencyMap:
     """Absolute gradient of the class-y score wrt each input pixel."""
     if not 0 <= int(y) < params.spec.n_classes:
         raise ValueError(f"class index {y} out of range for {params.spec.n_classes} classes")
-    g = batch_input_grads(params, np.asarray(x)[None], np.array([int(y)]))[0]
+    g = _input_grads_scores(params, np.asarray(x)[None], np.array([int(y)]))[0][0]
     return SaliencyMap(_channel_reduce(g), method="vanilla")
 
 
-def batch_gsmap(params: ParamSet, x: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    """Vanilla maps for a whole batch; returns (N, H, W) values."""
-    return _channel_reduce(batch_input_grads(params, x, ys))
-
-
 def batch_gsmap_scores(params: ParamSet, x: np.ndarray, ys: np.ndarray):
-    """Batch vanilla maps plus the clean scores from the same forward."""
+    """Batch vanilla maps, (N, H, W), plus the clean scores from the
+    same forward."""
     grads, scores = _input_grads_scores(params, x, ys)
     return _channel_reduce(grads), scores
 
@@ -101,7 +94,7 @@ def smooth_grad(
         rng = seeds.stream(rng or 0, seeds.SMOOTH)
     x = np.asarray(x, dtype=np.float64)
     noisy = x[None] + sigma * rng.standard_normal((n_samples, *x.shape))
-    maps = batch_gsmap(params, noisy, np.full(n_samples, int(y)))
+    maps = _channel_reduce(_input_grads_scores(params, noisy, np.full(n_samples, int(y)))[0])
     return SaliencyMap(maps.mean(axis=0), method="smoothgrad")
 
 
@@ -128,7 +121,7 @@ def integrated_gradients(
         raise ValueError(f"baseline shape {baseline.shape} != input shape {x.shape}")
     alphas = (np.arange(steps) + 0.5) / steps
     path = baseline[None] + alphas[:, None, None, None] * (x - baseline)[None]
-    grads = batch_input_grads(params, path, np.full(steps, int(y)))
+    grads = _input_grads_scores(params, path, np.full(steps, int(y)))[0]
     signed = (x - baseline) * grads.mean(axis=0)
     smap = SaliencyMap(_channel_reduce(signed[None])[0], method="integrated")
     return (smap, signed) if return_signed else smap

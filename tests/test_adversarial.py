@@ -173,6 +173,20 @@ class TestSearchContracts:
             f = fgsm_masked(params, x, 0, AdvConfig(epsilon=eps, variant="fgsm"), mask, rng=seed + 100)
             np.testing.assert_array_equal(p.delta, f.delta)
 
+    def test_caller_p_clean_checked(self, rng):
+        params = tiny_model(seed=3)
+        x = rng.uniform(0, 1, (2, 1, 2, 2))
+        masks = np.ones((2, 4), dtype=bool)
+        cfg = AdvConfig(epsilon=0.1, k=2)
+        good = predict_proba(params, x)
+        for bad, message in ((good * 1.5, "sums to"), (-good, "negative"), (good[:1], "mismatch")):
+            with pytest.raises(ValueError, match=message):
+                perturb_batch(params, x, cfg, masks, seeds.stream(0, seeds.PGD), p_clean=bad)
+        given = perturb_batch(params, x, cfg, masks, seeds.stream(0, seeds.PGD), p_clean=good)
+        computed = perturb_batch(params, x, cfg, masks, seeds.stream(0, seeds.PGD))
+        for a, b in zip(given, computed):
+            np.testing.assert_array_equal(a, b)
+
     def test_best_iterate_dominates_candidates(self, rng):
         params = tiny_model(seed=8)
         x = rng.uniform(0, 1, (4, 1, 2, 2))

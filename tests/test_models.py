@@ -73,17 +73,40 @@ class TestForward:
         params = linear_model(np.eye(2))
         np.testing.assert_allclose(scores_np(params, np.array([1.0, 2.0])), [1.0, 2.0])
 
+    # The two tests below check forward_eval against a plain numpy
+    # forward written out here, independent of the engine's kernels.
     def test_graph_matches_plain_mlp(self, rng):
         spec = ModelSpec("mlp", (1, 3, 3), 4, hidden=(7,), seed=1)
         params = init_model(spec)
         x = rng.uniform(0, 1, (5, 1, 3, 3))
-        np.testing.assert_array_equal(forward_eval(params, x).data, scores_np(params, x))
+        w = params.arrays()
+        hidden = np.maximum(x.reshape(5, 9) @ w["fc0.w"] + w["fc0.b"], 0.0)
+        want = hidden @ w["fc1.w"] + w["fc1.b"]
+        np.testing.assert_allclose(forward_eval(params, x).data, want, rtol=1e-12, atol=0)
 
     def test_graph_matches_plain_cnn(self, rng):
         spec = ModelSpec("cnn", (3, 8, 8), 5, channels=(4, 6), seed=2)
         params = init_model(spec)
         x = rng.uniform(0, 1, (3, 3, 8, 8))
-        np.testing.assert_array_equal(forward_eval(params, x).data, scores_np(params, x))
+        w = params.arrays()
+
+        def conv_relu(a, k, b):
+            # direct 3x3 sliding-window correlation, zero padding 1
+            n, _, h, wd = a.shape
+            ap = np.pad(a, ((0, 0), (0, 0), (1, 1), (1, 1)))
+            out = np.empty((n, k.shape[0], h, wd))
+            for i in range(h):
+                for j in range(wd):
+                    out[:, :, i, j] = np.einsum("ncyx,fcyx->nf", ap[:, :, i : i + 3, j : j + 3], k)
+            return np.maximum(out + b[None, :, None, None], 0.0)
+
+        def pool(a):
+            n, c, h, wd = a.shape
+            return a.reshape(n, c, h // 2, 2, wd // 2, 2).max(axis=(3, 5))
+
+        h = pool(conv_relu(pool(conv_relu(x, w["conv1.w"], w["conv1.b"])), w["conv2.w"], w["conv2.b"]))
+        want = h.reshape(3, -1) @ w["fc.w"] + w["fc.b"]
+        np.testing.assert_allclose(forward_eval(params, x).data, want, rtol=1e-12, atol=0)
 
     def test_single_sample_shape(self, rng):
         spec = ModelSpec("cnn", (1, 8, 8), 3, channels=(2, 2), seed=0)

@@ -6,6 +6,7 @@ import pytest
 from scaat.adversarial import AdvConfig
 from scaat.cli import run_cli
 from scaat.config import (
+    ConfigError,
     DataConfig,
     RunConfig,
     load_run_config,
@@ -39,6 +40,69 @@ def tiny_run_config(tmp_path, mode="scaat_adaptive_q") -> RunConfig:
     )
 
 
+README_CONFIG_ECHO = """{
+  "data": {
+    "format": "synthetic-spec",
+    "labels_test": null,
+    "labels_train": null,
+    "n_classes": 2,
+    "n_test": null,
+    "n_train": null,
+    "test": "half-informative,n=400,size=16,classes=2,seed=1",
+    "train": "half-informative,n=2000,size=16,classes=2,seed=0"
+  },
+  "eval": {
+    "fraction": 0.2,
+    "ig_steps": 32,
+    "limit": null,
+    "region": null,
+    "repeats": 5,
+    "saliency": "vanilla",
+    "smooth_samples": 25,
+    "smooth_sigma": 0.1,
+    "steps": 20
+  },
+  "model": {
+    "arch": "cnn",
+    "channels": [
+      8,
+      16
+    ],
+    "hidden": [
+      64
+    ],
+    "input_shape": [
+      1,
+      16,
+      16
+    ],
+    "n_classes": 2
+  },
+  "out_dir": "runs/demo",
+  "schema": 1,
+  "seed": 0,
+  "train": {
+    "alpha": null,
+    "batch_size": 64,
+    "epsilon": 0.3,
+    "gamma": 0.05,
+    "k": 4,
+    "lambda": 1.0,
+    "lr": 0.05,
+    "mode": "scaat_adaptive_q",
+    "momentum": 0.9,
+    "n_iter": 500,
+    "q0": 0.5,
+    "q_max": 0.9,
+    "q_min": 0.1,
+    "train_region": null,
+    "variant": "pgd",
+    "warmup_iters": null
+  }
+}
+"""
+
+
 class TestRunConfig:
     def test_json_round_trip(self, tmp_path):
         cfg = tiny_run_config(tmp_path)
@@ -64,6 +128,26 @@ class TestRunConfig:
     def test_schema_gate(self):
         with pytest.raises(ValueError, match="schema"):
             run_config_from_dict({"schema": 99})
+
+    def test_readme_minimal_config_bytes(self, tmp_path):
+        # The README's minimal config, loaded and saved: these bytes are
+        # the config echo every earlier version of the loader wrote.
+        doc = {
+            "schema": 1,
+            "seed": 0,
+            "out_dir": "runs/demo",
+            "model": {"arch": "cnn", "input_shape": [1, 16, 16], "n_classes": 2, "channels": [8, 16]},
+            "train": {"mode": "scaat_adaptive_q", "n_iter": 500, "epsilon": 0.3},
+            "data": {
+                "format": "synthetic-spec",
+                "train": "half-informative,n=2000,size=16,classes=2,seed=0",
+                "test": "half-informative,n=400,size=16,classes=2,seed=1",
+                "n_classes": 2,
+            },
+        }
+        path = tmp_path / "config.json"
+        save_run_config(run_config_from_dict(doc), path)
+        assert path.read_text() == README_CONFIG_ECHO
 
     def test_seed_propagates(self, tmp_path):
         cfg = tiny_run_config(tmp_path).with_seed(7)
@@ -191,6 +275,44 @@ class TestCli:
         assert run_cli(["train", "--config", "x", "--bogus"]) == 2
         assert run_cli(["frobnicate"]) == 2
         assert run_cli(["train", "--config", str(tmp_path / "nope.json")]) == 2
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            pytest.param(lambda d: d["model"].update(input_shape=5), "model.input_shape", id="scalar-shape"),
+            pytest.param(lambda d: d["model"].update(n_classes="two"), "model.n_classes", id="bad-int"),
+            pytest.param(lambda d: d["model"].update(input_shape=[[1], 8, 8]), "model:", id="nested-shape"),
+            pytest.param(lambda d: d["train"].update(mode=3), "train.mode", id="non-string"),
+            pytest.param(lambda d: d.update(model=[]), "model: expected a JSON object", id="list-section"),
+            pytest.param(lambda d: d["train"].update(lamda=3), "unknown key train.lamda", id="typo"),
+            pytest.param(lambda d: d.update(sed=1), "unknown key sed", id="top-level-typo"),
+            pytest.param(lambda d: d["eval"].update(limit=0), "limit must be >= 1", id="eval-limit"),
+            pytest.param(lambda d: [1, 2], "run config: expected a JSON object", id="list-document"),
+        ],
+    )
+    def test_malformed_config_exits_one(self, tmp_path, capsys, edit, message):
+        doc = run_config_to_dict(tiny_run_config(tmp_path))
+        doc = edit(doc) or doc
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ConfigError, match=message):
+            run_config_from_dict(doc)
+        assert run_cli(["train", "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("limit", ["0", "-1"])
+    def test_limit_below_one_exits_one(self, tmp_path, capsys, limit):
+        _, cfg_path = self.write_config(tmp_path)
+        assert run_cli(["train", "--config", str(cfg_path)]) == 0
+        code = run_cli([
+            "evaluate", "--config", str(cfg_path), "--ckpt", str(tmp_path / "out" / "checkpoint.sct"),
+            "--limit", limit,
+        ])
+        assert code == 1
+        assert "limit must be >= 1" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "report.json").exists()
 
     def test_runtime_errors_exit_one(self, tmp_path):
         _, cfg_path = self.write_config(tmp_path)
