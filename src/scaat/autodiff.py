@@ -71,13 +71,17 @@ class Tensor:
         return x if isinstance(x, Tensor) else Tensor(np.asarray(x, dtype=np.float64))
 
     def _accum(self, g: np.ndarray) -> None:
+        # Backward closures may hand the same buffer to several nodes (add
+        # gives both parents g, reshape a view of it), so the first
+        # contribution is kept uncopied and later ones are added out of
+        # place: no node's gradient is ever written through.
         if self.grad is None:
-            # copy: backward closures may hand us shared buffers
-            self.grad = np.array(g, dtype=np.float64)
-            if self.grad.shape != self.data.shape:
-                self.grad = np.broadcast_to(self.grad, self.data.shape).copy()
+            g = np.asarray(g, dtype=np.float64)
+            if g.shape != self.data.shape:
+                g = np.broadcast_to(g, self.data.shape).copy()
+            self.grad = g
         else:
-            self.grad += g
+            self.grad = self.grad + g
 
     # -- arithmetic -----------------------------------------------------
 
@@ -415,24 +419,43 @@ def conv2d(a: Tensor, w: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
     return _make(out, (a, w), bwd)
 
 
+def _pool_views(x: np.ndarray, k: int):
+    """The k*k strided views of non-overlapping k x k windows, one per
+    window offset, in row-major order within the window."""
+    return [x[:, :, dy::k, dx::k] for dy in range(k) for dx in range(k)]
+
+
 def max_pool2d(a: Tensor, k: int) -> Tensor:
-    """Non-overlapping k x k max pooling; ties route to the first maximum."""
+    """Non-overlapping k x k max pooling; ties route to the first maximum
+    in row-major window order, and a window holding a NaN pools to NaN."""
     n, c, h, w = a.data.shape
     if h % k or w % k:
         raise ValueError(f"pool size {k} must divide spatial extents {(h, w)}")
-    win = a.data.reshape(n, c, h // k, k, w // k, k).transpose(0, 1, 2, 4, 3, 5)
-    flat = win.reshape(n, c, h // k, w // k, k * k)
-    idx = flat.argmax(axis=-1)
-    out = np.take_along_axis(flat, idx[..., None], axis=-1)[..., 0]
+    views = _pool_views(a.data, k)
+    out = views[0].copy()
+    for v in views[1:]:
+        # np.maximum returns its second operand on ties, so the running
+        # maximum keeps the earliest of equal values (signed zeros too)
+        np.maximum(v, out, out=out)
 
     def bwd(g):
-        dflat = np.zeros((n, c, h // k, w // k, k * k))
-        np.put_along_axis(dflat, idx[..., None], g[..., None], axis=-1)
-        a._accum(
-            dflat.reshape(n, c, h // k, w // k, k, k)
-            .transpose(0, 1, 2, 4, 3, 5)
-            .reshape(n, c, h, w)
-        )
+        # Route each window's gradient to the first view equal to its
+        # maximum (in a NaN window, to its first NaN). The views tile dx, so
+        # each slot is written once: g's bit pattern where hit, all-zero
+        # bits (+0.0) elsewhere. This select is exact for every g, where
+        # g * hit would give -0.0 for a negative g and NaN for an infinite one.
+        dx = np.empty((n, c, h, w))
+        g_bits = g.view(np.int64)
+        has_nan = bool(np.isnan(out).any())
+        free = np.ones(out.shape, dtype=bool)  # windows not yet routed
+        for v, dv in zip(views, _pool_views(dx.view(np.int64), k)):
+            hit = v == out
+            if has_nan:
+                hit |= np.isnan(v)
+            hit &= free
+            free ^= hit
+            np.bitwise_and(g_bits, -hit.view(np.int8), out=dv)
+        a._accum(dx)
 
     return _make(out, (a,), bwd)
 

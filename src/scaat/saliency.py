@@ -185,15 +185,22 @@ def to_u8(values: np.ndarray) -> np.ndarray:
     return np.zeros_like(values, dtype=np.uint8)
 
 
+# The savers import ``atomic_write`` when called: ``reports`` imports
+# ``metrics``, which imports this module.
+
+
 def save_pgm(smap: SaliencyMap, path) -> None:
+    """Binary 8-bit PGM of the map, written atomically."""
+    from .reports import atomic_write
+
     u8 = to_u8(smap.values)
     h, w = u8.shape
-    with open(path, "wb") as f:
-        f.write(f"P5\n{w} {h}\n255\n".encode("ascii"))
-        f.write(u8.tobytes())
+    atomic_write(path, f"P5\n{w} {h}\n255\n".encode("ascii") + u8.tobytes())
 
 
 def save_csv(smap: SaliencyMap, path) -> None:
-    with open(path, "w", encoding="ascii") as f:
-        for row in smap.values:
-            f.write(",".join(repr(float(v)) for v in row) + "\n")
+    """One CSV row per map row, values as Python reprs, written atomically."""
+    from .reports import atomic_write
+
+    text = "".join(",".join(repr(float(v)) for v in row) + "\n" for row in smap.values)
+    atomic_write(path, text.encode("ascii"))

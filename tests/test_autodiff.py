@@ -107,6 +107,80 @@ class TestPrimitiveGradients:
         check_op(lambda t: max_pool2d(t, 2), (2, 3, 6, 6), rng, trials=3)
 
 
+def argmax_pool(x, g, k):
+    """Oracle pool: each k x k window transposed into a row, its first
+    maximum taken by argmax, and g scattered back to that position."""
+    n, c, h, w = x.shape
+    win = x.reshape(n, c, h // k, k, w // k, k).transpose(0, 1, 2, 4, 3, 5)
+    flat = win.reshape(n, c, h // k, w // k, k * k)
+    idx = flat.argmax(axis=-1)
+    out = np.take_along_axis(flat, idx[..., None], axis=-1)[..., 0]
+    dflat = np.zeros(flat.shape)
+    np.put_along_axis(dflat, idx[..., None], g[..., None], axis=-1)
+    dx = dflat.reshape(n, c, h // k, w // k, k, k).transpose(0, 1, 2, 4, 3, 5).reshape(n, c, h, w)
+    return out, dx
+
+
+def pool_and_grad(x, g, k):
+    """max_pool2d's output and its input gradient for upstream gradient g."""
+    xt = Tensor(x, requires_grad=True)
+    out = max_pool2d(xt, k)
+    with np.errstate(invalid="ignore"):  # the loss value of non-finite g
+        tsum(mul(out, Tensor(g))).backward()
+    return out.data, xt.grad
+
+
+class TestMaxPoolKernel:
+    @pytest.mark.parametrize(
+        "shape,k",
+        [((1, 2, 4, 4), 2), ((24, 3, 8, 8), 2), ((1, 3, 8, 8), 4), ((20, 4, 8, 16), 4)],
+    )
+    @pytest.mark.parametrize("values", ["ties", "ties_nan", "normal"])
+    def test_matches_argmax_oracle_bitwise(self, rng, shape, k, values):
+        if values == "normal":
+            x = rng.standard_normal(shape)
+        else:
+            pool = [-1.0, -0.0, 0.0, 0.5, 1.0] + ([np.nan] if values == "ties_nan" else [])
+            x = rng.choice(pool, size=shape)
+        n, c, h, w = shape
+        # negative, signed-zero and non-finite upstream values: the routed
+        # gradient must be g itself and every other slot exactly +0.0
+        g = rng.choice([-2.5, -0.0, 0.0, 1.5, np.inf, np.nan], size=(n, c, h // k, w // k))
+        out, dx = pool_and_grad(x, g, k)
+        ref_out, ref_dx = argmax_pool(x, g, k)
+        assert out.tobytes() == ref_out.tobytes()
+        assert dx.tobytes() == ref_dx.tobytes()
+
+    @pytest.mark.parametrize("k", [2, 4])
+    def test_tie_routes_to_first_maximum(self, k):
+        x = np.zeros((1, 1, k, k))
+        x[0, 0, k - 1, 0] = 3.0
+        x[0, 0, 0, k - 1] = 3.0  # the first of the three in row-major order
+        x[0, 0, k - 1, k - 1] = 3.0
+        out, dx = pool_and_grad(x, np.full((1, 1, 1, 1), 7.0), k)
+        assert out[0, 0, 0, 0] == 3.0
+        expected = np.zeros((k, k))
+        expected[0, k - 1] = 7.0
+        np.testing.assert_array_equal(dx[0, 0], expected)
+
+    def test_signed_zero_tie_keeps_first(self):
+        x = np.array([[[[-0.0, 0.0], [0.0, 0.0]], [[0.0, -0.0], [-0.0, -0.0]]]])
+        out, dx = pool_and_grad(x, np.ones((1, 2, 1, 1)), 2)
+        assert np.signbit(out[0, 0, 0, 0]) and not np.signbit(out[0, 1, 0, 0])
+        np.testing.assert_array_equal(dx[0, :, 0, 0], [1.0, 1.0])
+        assert dx.sum() == 2.0
+
+    @pytest.mark.parametrize("k", [2, 4])
+    def test_nan_window_pools_to_nan(self, rng, k):
+        x = rng.uniform(0.0, 1.0, (2, 1, 2 * k, 2 * k))
+        x[1, 0, k + 1, 1] = np.nan
+        out, dx = pool_and_grad(x, np.ones((2, 1, 2, 2)), k)
+        assert np.isnan(out[1, 0, 1, 0])
+        assert np.isfinite(np.delete(out.ravel(), 6)).all()
+        assert dx[1, 0, k + 1, 1] == 1.0
+        assert dx.sum() == 8.0
+
+
 class TestBackwardContract:
     def test_square_at_three(self):
         x = Tensor([3.0], requires_grad=True)
@@ -149,6 +223,25 @@ class TestBackwardContract:
         loss = tsum(y) + tsum(mul(y, Tensor(3.0)))
         (g,) = backward_grad(loss, [x])
         np.testing.assert_allclose(g, 8.0 * x.data, rtol=1e-12)
+
+    def test_shared_gradient_not_written_through(self):
+        # add hands the same gradient buffer to both parents, so a's second
+        # contribution (from 2a) must not land in b's gradient
+        a = Tensor(np.zeros(3), requires_grad=True)
+        b = Tensor(np.zeros(3), requires_grad=True)
+        loss = tsum(a + b) + tsum(mul(a, Tensor(2.0)))
+        loss.backward()
+        np.testing.assert_array_equal(b.grad, np.ones(3))
+        np.testing.assert_array_equal(a.grad, np.full(3, 3.0))
+
+    def test_reshape_view_gradient_not_written_through(self):
+        # reshape hands a a view of the buffer add shares with b
+        a = Tensor(np.zeros((2, 3)), requires_grad=True)
+        b = Tensor(np.zeros(6), requires_grad=True)
+        loss = tsum(reshape(a, (6,)) + b) + tsum(mul(a, Tensor(2.0)))
+        loss.backward()
+        np.testing.assert_array_equal(b.grad, np.ones(6))
+        np.testing.assert_array_equal(a.grad, np.full((2, 3), 3.0))
 
     def test_determinism_bit_identical(self, rng):
         x_val = rng.standard_normal((4, 4))

@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -241,3 +243,18 @@ class TestExport:
         save_csv(smap, path)
         back = np.array([[float(v) for v in line.split(",")] for line in path.read_text().splitlines()])
         np.testing.assert_array_equal(back, smap.values)
+
+    @pytest.mark.parametrize("save", [save_pgm, save_csv])
+    def test_failed_replace_keeps_old_file(self, tmp_path, rng, monkeypatch, save):
+        path = tmp_path / "m.out"
+        save(SaliencyMap(rng.uniform(0, 1, (3, 4)), "vanilla"), path)
+        old = path.read_bytes()
+
+        def fail(src, dst):
+            raise OSError("replace refused")
+
+        monkeypatch.setattr(os, "replace", fail)
+        with pytest.raises(OSError, match="replace refused"):
+            save(SaliencyMap(rng.uniform(0, 1, (3, 4)), "vanilla"), path)
+        assert path.read_bytes() == old
+        assert [p.name for p in tmp_path.iterdir()] == ["m.out"]
