@@ -81,6 +81,7 @@ def perturbation_curve(
     Ranking is by mean region saliency, ascending for "lerf" and
     descending for "morf"; ties break on region index. The random fill
     is redrawn for each of ``repeats`` passes and decays are averaged.
+    Steps that perturb the same number of regions share one scored row.
     """
     if order not in ("lerf", "morf"):
         raise ValueError(f"order must be 'lerf' or 'morf', got {order!r}")
@@ -88,6 +89,10 @@ def perturbation_curve(
         raise ValueError(f"fraction must be in (0, 1], got {fraction}")
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
+    if repeats < 1:
+        raise ValueError(f"repeats must be >= 1, got {repeats}")
+    if region < 1:
+        raise ValueError(f"region must be >= 1, got {region}")
     x = np.asarray(x, dtype=np.float64)
     c_dim, h, w = x.shape
     if h % region or w % region:
@@ -98,12 +103,13 @@ def perturbation_curve(
     ranking = _tile_ranking(smap.values, region, order)
     n_tiles = ranking.size
     counts = np.floor(np.arange(1, steps + 1) * fraction * n_tiles / steps + 1e-9).astype(int)
+    distinct, step_row = np.unique(counts, return_inverse=True)
 
     pos_of_tile = np.empty(n_tiles, dtype=np.int64)
     pos_of_tile[ranking] = np.arange(n_tiles)
-    step_masks = pos_of_tile[None, :] < counts[:, None]              # (steps, n_tiles)
-    step_masks = step_masks.reshape(steps, h // region, w // region)
-    step_masks = np.repeat(np.repeat(step_masks, region, axis=1), region, axis=2)
+    masks = pos_of_tile[None, :] < distinct[:, None]                 # (rows, n_tiles)
+    masks = masks.reshape(distinct.size, h // region, w // region)
+    masks = np.repeat(np.repeat(masks, region, axis=1), region, axis=2)
 
     p_clean = predict_proba(params, x)
     target = int(p_clean.argmax())
@@ -112,9 +118,9 @@ def perturbation_curve(
     decays = np.zeros(steps)
     for _ in range(repeats):
         fill = rng.uniform(0.0, 1.0, size=x.shape)
-        batch = np.where(step_masks[:, None, :, :], fill[None], x[None])
+        batch = np.where(masks[:, None, :, :], fill[None], x[None])
         probs = predict_proba(params, batch)
-        decays += base - probs[:, target]
+        decays += base - probs[step_row, target]
     return PerturbationCurve(order, steps, fraction, repeats, decays / repeats)
 
 
@@ -140,6 +146,15 @@ class EvalProtocol:
     def __post_init__(self):
         if self.saliency not in SALIENCY_METHODS:
             raise ValueError(f"saliency must be one of {SALIENCY_METHODS}, got {self.saliency!r}")
+        for name in ("steps", "repeats", "smooth_samples", "ig_steps"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if not 0 < self.fraction <= 1:
+            raise ValueError(f"fraction must be in (0, 1], got {self.fraction}")
+        if self.region is not None and self.region < 1:
+            raise ValueError(f"region must be >= 1, got {self.region}")
+        if not self.smooth_sigma >= 0:
+            raise ValueError(f"smooth_sigma must be >= 0, got {self.smooth_sigma}")
         if self.limit is not None and self.limit < 1:
             raise ValueError(f"limit must be >= 1, got {self.limit}")
 

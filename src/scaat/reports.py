@@ -12,13 +12,24 @@ import numpy as np
 from .metrics import MetricsReport, PER_SAMPLE_METRICS
 
 
+def _umask() -> int:
+    mask = os.umask(0o022)
+    os.umask(mask)
+    return mask
+
+
 def atomic_write(path, data: bytes) -> None:
-    """Write via a temp file in the target directory, then rename."""
+    """Write via a temp file in the target directory, then rename.
+
+    The file gets the mode a plain ``open()`` would give (0666 less the
+    umask); ``mkstemp`` alone would leave it 0600.
+    """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
     try:
         with os.fdopen(fd, "wb") as f:
+            os.fchmod(fd, 0o666 & ~_umask())
             f.write(data)
         os.replace(tmp, path)
     except OSError as exc:

@@ -3,6 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from scaat import metrics
 from scaat.data import generate_half_informative
 from scaat.metrics import (
     EvalProtocol,
@@ -14,7 +15,7 @@ from scaat.metrics import (
     perturbation_curve,
     saliency_entropy,
 )
-from scaat.models import ModelSpec, ParamSet, init_model
+from scaat.models import ModelSpec, ParamSet, init_model, predict_proba
 from scaat.saliency import SaliencyMap
 from conftest import linear_model
 
@@ -187,6 +188,80 @@ class TestPerturbationCurve:
         b = perturbation_curve(params, x, flat, "morf", steps=4, fraction=0.5, repeats=1, region=2, rng=2)
         np.testing.assert_array_equal(a.values, b.values)
 
+    @pytest.mark.parametrize("kwargs, message", [
+        pytest.param({"repeats": 0}, "repeats", id="repeats-0"),
+        pytest.param({"repeats": -1}, "repeats", id="repeats-neg"),
+        pytest.param({"region": 0}, "region", id="region-0"),
+        pytest.param({"steps": 0}, "steps", id="steps-0"),
+    ])
+    def test_bad_protocol_rejected_before_any_forward(self, monkeypatch, kwargs, message):
+        params, w0 = staircase_model()
+
+        def no_forward(*args):
+            raise AssertionError("forward ran")
+
+        monkeypatch.setattr(metrics, "predict_proba", no_forward)
+        with pytest.raises(ValueError, match=message):
+            perturbation_curve(params, np.ones((1, 8, 8)), smap_of(np.abs(w0)), "lerf", **{"region": 2, **kwargs})
+
+
+GATE = dict(steps=20, fraction=0.2, repeats=5, region=4)   # counts repeat: 13 distinct of 20
+NO_REPEAT = dict(steps=8, fraction=0.5, repeats=3, region=4)  # counts 4, 8, ..., 32
+
+
+def oracle_curve(params, x, smap, order, steps, fraction, repeats, region, rng):
+    """The curve scored one row per step, as a reference."""
+    ranking = metrics._tile_ranking(smap.values, region, order)
+    n_tiles = ranking.size
+    counts = np.floor(np.arange(1, steps + 1) * fraction * n_tiles / steps + 1e-9).astype(int)
+    pos_of_tile = np.empty(n_tiles, dtype=np.int64)
+    pos_of_tile[ranking] = np.arange(n_tiles)
+    _, h, w = x.shape
+    step_masks = (pos_of_tile[None, :] < counts[:, None]).reshape(steps, h // region, w // region)
+    step_masks = np.repeat(np.repeat(step_masks, region, axis=1), region, axis=2)
+    p_clean = predict_proba(params, x)
+    target = int(p_clean.argmax())
+    decays = np.zeros(steps)
+    for _ in range(repeats):
+        fill = rng.uniform(0.0, 1.0, size=x.shape)
+        probs = predict_proba(params, np.where(step_masks[:, None, :, :], fill[None], x[None]))
+        decays += p_clean[target] - probs[:, target]
+    return decays / repeats
+
+
+class TestCurveAgainstOracle:
+    @pytest.fixture(scope="class")
+    def setup(self):
+        params = init_model(ModelSpec("cnn", (3, 32, 32), 10, channels=(4, 8), seed=2))
+        gen = np.random.default_rng(9)
+        x = gen.uniform(0.0, 1.0, (3, 32, 32))
+        smap = smap_of(gen.uniform(0.0, 1.0, (32, 32)))
+        return params, x, smap
+
+    @pytest.mark.parametrize("protocol", [GATE, NO_REPEAT], ids=["gate", "no-repeat"])
+    @pytest.mark.parametrize("order", ["lerf", "morf"])
+    def test_matches_oracle_and_stream(self, setup, protocol, order):
+        params, x, smap = setup
+        rng_a, rng_b = np.random.default_rng(4), np.random.default_rng(4)
+        got = perturbation_curve(params, x, smap, order, rng=rng_a, **protocol)
+        want = oracle_curve(params, x, smap, order, rng=rng_b, **protocol)
+        np.testing.assert_allclose(got.values, want, rtol=0, atol=1e-15)
+        assert rng_a.random() == rng_b.random()
+
+    @pytest.mark.parametrize("protocol, rows", [(GATE, 1 + 5 * 13), (NO_REPEAT, 1 + 3 * 8)], ids=["gate", "no-repeat"])
+    def test_scores_each_distinct_image_once(self, setup, monkeypatch, protocol, rows):
+        params, x, smap = setup
+        scored = []
+
+        def counting(p, batch):
+            scored.append(1 if batch.ndim == 3 else batch.shape[0])
+            return predict_proba(p, batch)
+
+        monkeypatch.setattr(metrics, "predict_proba", counting)
+        perturbation_curve(params, x, smap, "lerf", rng=0, **protocol)
+        assert sum(scored) == rows
+        assert len(scored) == 1 + protocol["repeats"]
+
 
 class TestEvaluateModel:
     def make_setup(self):
@@ -226,6 +301,16 @@ class TestEvaluateModel:
         for key in ("aopc_lerf", "aopc_morf", "size_kib"):
             assert np.all(np.isfinite(report.per_sample[key]))
         assert report.aggregates["accuracy"] == pytest.approx(np.mean(data.labels == 0), abs=1e-12)
+
+    @pytest.mark.parametrize("kwargs", [
+        {"steps": 0}, {"repeats": 0}, {"repeats": -1}, {"fraction": 0.0}, {"fraction": 1.5},
+        {"fraction": float("nan")}, {"region": 0}, {"smooth_samples": 0}, {"smooth_sigma": -0.1},
+        {"smooth_sigma": float("nan")}, {"ig_steps": 0},
+    ], ids=lambda kw: "-".join(f"{k}={v}" for k, v in kw.items()))
+    def test_protocol_rejects_bad_values(self, kwargs):
+        (name,) = kwargs
+        with pytest.raises(ValueError, match=name):
+            EvalProtocol(**kwargs)
 
     def test_saliency_method_switch(self):
         params, data = self.make_setup()

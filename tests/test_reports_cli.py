@@ -125,6 +125,16 @@ class TestRunConfig:
         assert path.read_bytes() == old
         assert [p.name for p in tmp_path.iterdir()] == ["run.json"]
 
+    @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)])
+    def test_written_files_follow_umask(self, tmp_path, umask, mode):
+        old = os.umask(umask)
+        try:
+            path = tmp_path / "run.json"
+            save_run_config(tiny_run_config(tmp_path), path)
+        finally:
+            os.umask(old)
+        assert path.stat().st_mode & 0o777 == mode
+
     def test_schema_gate(self):
         with pytest.raises(ValueError, match="schema"):
             run_config_from_dict({"schema": 99})
@@ -287,6 +297,7 @@ class TestCli:
             pytest.param(lambda d: d["train"].update(lamda=3), "unknown key train.lamda", id="typo"),
             pytest.param(lambda d: d.update(sed=1), "unknown key sed", id="top-level-typo"),
             pytest.param(lambda d: d["eval"].update(limit=0), "limit must be >= 1", id="eval-limit"),
+            pytest.param(lambda d: d["eval"].update(repeats=0), "eval: repeats must be >= 1", id="eval-repeats"),
             pytest.param(lambda d: [1, 2], "run config: expected a JSON object", id="list-document"),
         ],
     )
