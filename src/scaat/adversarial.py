@@ -115,18 +115,6 @@ def js_div(p, q) -> float:
 # -- masked search -----------------------------------------------------------
 
 
-def _as_mask_array(masks, n: int, n_pixels: int) -> np.ndarray:
-    """Normalize per-sample index sets to a boolean (N, n_pixels) array."""
-    out = np.zeros((n, n_pixels), dtype=bool)
-    for i, m in enumerate(masks):
-        idx = np.asarray(m, dtype=np.int64)
-        if idx.size:
-            if idx.min() < 0 or idx.max() >= n_pixels:
-                raise ValueError(f"mask indices out of range [0, {n_pixels})")
-            out[i, idx] = True
-    return out
-
-
 def _project(delta, x, eps, mask_pix):
     """Exact feasibility: budget clip, off-mask zeroing, range clip.
 
@@ -154,22 +142,22 @@ def perturb_batch(
     params: ParamSet,
     x: np.ndarray,
     cfg: AdvConfig,
-    masks,
+    masks: np.ndarray,
     rng: np.random.Generator,
     p_clean: np.ndarray | None = None,
-    return_candidates: bool = False,
 ):
     """Run the masked search for a whole batch.
 
-    Returns (delta, objective, adv_proba) stacked over samples; with
-    ``return_candidates`` also the per-step objective matrix the best
-    iterate was selected from.
+    ``masks`` is a boolean (N, H*W) array of perturbable pixels. FGSM is
+    the one-step case of the PGD loop: its step of size epsilon uses the
+    gradient at the random start but is taken from the clean input.
+    Returns (delta, objective, adv_proba) stacked over samples, each
+    sample's best iterate by objective.
     """
     frozen = params.frozen()
     x = np.asarray(x, dtype=np.float64)
     n, c, h, w = x.shape
-    mask_flat = masks if isinstance(masks, np.ndarray) and masks.dtype == bool else _as_mask_array(masks, n, h * w)
-    mask_pix = mask_flat.reshape(n, 1, h, w)
+    mask_pix = masks.reshape(n, 1, h, w)
     eps = cfg.epsilon
 
     if p_clean is None:
@@ -190,33 +178,24 @@ def perturb_batch(
     j_minus = _objective(frozen, x + d_minus, p_clean)[0]
     delta = np.where((j_plus >= j_minus)[:, None, None, None], d_plus, d_minus)
 
-    if cfg.variant == "fgsm":
-        grad = _objective(frozen, x + delta, p_clean, grad=True)[1]
-        delta = _project(eps * np.sign(grad) * mask_pix, x, eps, mask_pix)
-        obj, _, probs = _objective(frozen, x + delta, p_clean)
-        return (delta, obj, probs, obj[None]) if return_candidates else (delta, obj, probs)
-
-    alpha = cfg.step_size
-    cand_deltas = np.empty((cfg.k, *x.shape))
-    cand_objs = np.empty((cfg.k, n))
-    cand_probs = np.empty((cfg.k, n, p_clean.shape[-1]))
-    for t in range(cfg.k):
+    fgsm = cfg.variant == "fgsm"
+    steps, alpha = (1, eps) if fgsm else (cfg.k, cfg.step_size)
+    cand_deltas = np.empty((steps, *x.shape))
+    cand_objs = np.empty((steps, n))
+    cand_probs = np.empty((steps, n, p_clean.shape[-1]))
+    for t in range(steps):
         obj, grad, probs = _objective(frozen, x + delta, p_clean, grad=True)
         if t > 0:
             cand_objs[t - 1] = obj
             cand_probs[t - 1] = probs
-        delta = _project(delta + alpha * np.sign(grad), x, eps, mask_pix)
+        step = alpha * np.sign(grad)
+        delta = _project(step if fgsm else delta + step, x, eps, mask_pix)
         cand_deltas[t] = delta
     cand_objs[-1], _, cand_probs[-1] = _objective(frozen, x + delta, p_clean)
 
     best = cand_objs.argmax(axis=0)
     rows = np.arange(n)
-    out_delta = cand_deltas[best, rows]
-    out_obj = cand_objs[best, rows]
-    out_probs = cand_probs[best, rows]
-    if return_candidates:
-        return out_delta, out_obj, out_probs, cand_objs
-    return out_delta, out_obj, out_probs
+    return cand_deltas[best, rows], cand_objs[best, rows], cand_probs[best, rows]
 
 
 def _single(params, x, y, cfg, mask, rng, expected_variant) -> Perturbation:
@@ -228,7 +207,12 @@ def _single(params, x, y, cfg, mask, rng, expected_variant) -> Perturbation:
         rng = seeds.stream(rng or 0, seeds.PGD)
     x = np.asarray(x, dtype=np.float64)
     mask = np.asarray(mask, dtype=np.int64)
-    delta, obj, probs = perturb_batch(params, x[None], cfg, [mask], rng)
+    n_pixels = x.shape[-2] * x.shape[-1]
+    if mask.size and (mask.min() < 0 or mask.max() >= n_pixels):
+        raise ValueError(f"mask indices out of range [0, {n_pixels})")
+    mask_flat = np.zeros((1, n_pixels), dtype=bool)
+    mask_flat[0, mask] = True
+    delta, obj, probs = perturb_batch(params, x[None], cfg, mask_flat, rng)
     return Perturbation(delta=delta[0], mask=mask, objective=float(obj[0]), adv_proba=probs[0])
 
 

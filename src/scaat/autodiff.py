@@ -107,21 +107,6 @@ class Tensor:
     def __matmul__(self, other):
         return matmul(self, Tensor._lift(other))
 
-    def reshape(self, *shape):
-        return reshape(self, shape[0] if len(shape) == 1 and isinstance(shape[0], (tuple, list)) else shape)
-
-    def sum(self, axis=None):
-        return tsum(self, axis)
-
-    def mean(self, axis=None):
-        return tmean(self, axis)
-
-    def relu(self):
-        return relu(self)
-
-    def log(self):
-        return tlog(self)
-
     # -- backward pass ---------------------------------------------------
 
     def backward(self) -> None:

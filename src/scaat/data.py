@@ -8,6 +8,7 @@ error types below and never yields a partial dataset.
 
 from __future__ import annotations
 
+import inspect
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -142,28 +143,35 @@ def load_cifar_binary(path, n_classes: int = 10, split: str = "train") -> Datase
 # -- synthetic ----------------------------------------------------------------
 
 
+_SPEC_KEYS = {"task_seed": "task"}  # generator parameter -> spec key, where they differ
+
+
 def parse_synthetic_spec(spec: str) -> dict:
     """Parse a compact generator spec, e.g.
-    ``half-informative,n=2000,size=16,classes=2,ratios=0.25:0.75,seed=0``."""
+    ``half-informative,n=2000,size=16,classes=2,ratios=0.25:0.75,seed=0``,
+    into keyword arguments of ``generate_half_informative``. Each key's
+    type and default come from that function's signature."""
     parts = [p.strip() for p in spec.split(",") if p.strip()]
     if not parts or parts[0] != "half-informative":
         raise DataFormatError(f"unknown synthetic family in spec {spec!r}")
-    opts = {
-        "n": 2000, "size": 16, "channels": 1, "classes": 2,
-        "ratios": (0.25, 0.75), "amp": 0.18, "noise": 0.1, "spurious": 0.0, "seed": 0, "task": 0,
-    }
+    sig = inspect.signature(generate_half_informative).parameters
+    opts = {name: p.default for name, p in sig.items() if name not in ("split", "provenance")}
+    names = {_SPEC_KEYS.get(name, name): name for name in opts}
     for part in parts[1:]:
         if "=" not in part:
             raise DataFormatError(f"bad synthetic spec entry {part!r}")
         key, val = (s.strip() for s in part.split("=", 1))
-        if key not in opts:
+        if key not in names:
             raise DataFormatError(f"unknown synthetic spec key {key!r}")
-        if key == "ratios":
-            opts[key] = tuple(float(v) for v in val.split(":"))
-        elif key in ("amp", "noise", "spurious"):
-            opts[key] = float(val)
-        else:
-            opts[key] = int(val)
+        name = names[key]
+        try:
+            if isinstance(opts[name], tuple):
+                opts[name] = tuple(float(v) for v in val.split(":"))
+            else:
+                opts[name] = type(opts[name])(val)
+        except ValueError:
+            kind = type(opts[name]).__name__
+            raise DataFormatError(f"synthetic spec key {key!r}: cannot read {val!r} as {kind}") from None
     return opts
 
 
@@ -264,11 +272,5 @@ def load_dataset(path: str, format: str, split: str = "train", **kwargs) -> Data
     if format == "cifar-binary":
         return load_cifar_binary(path, split=split, **kwargs)
     if format == "synthetic-spec":
-        opts = parse_synthetic_spec(path)
-        return generate_half_informative(
-            n=opts["n"], size=opts["size"], channels=opts["channels"],
-            classes=opts["classes"], ratios=opts["ratios"], amp=opts["amp"],
-            noise=opts["noise"], spurious=opts["spurious"], seed=opts["seed"],
-            task_seed=opts["task"], split=split, provenance=path,
-        )
+        return generate_half_informative(**parse_synthetic_spec(path), split=split, provenance=path)
     raise DataFormatError(f"unknown dataset format {format!r}")

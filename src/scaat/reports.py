@@ -6,10 +6,12 @@ import json
 import os
 import tempfile
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .metrics import MetricsReport, PER_SAMPLE_METRICS
+if TYPE_CHECKING:
+    from .metrics import MetricsReport
 
 
 def _umask() -> int:
@@ -51,7 +53,8 @@ def report_to_json_doc(report: MetricsReport) -> dict:
 
 
 def export_report(report: MetricsReport, out_dir, stem: str = "report"):
-    """Write aggregate JSON and per-sample CSV; returns both paths.
+    """Write aggregate JSON and per-sample CSV, columns in ``per_sample``
+    order; returns both paths.
 
     Output bytes are a pure function of the report, so re-exporting the
     same report reproduces identical files.
@@ -63,7 +66,7 @@ def export_report(report: MetricsReport, out_dir, stem: str = "report"):
     doc = json.dumps(report_to_json_doc(report), indent=2, sort_keys=True) + "\n"
     atomic_write(json_path, doc.encode("utf-8"))
 
-    cols = [k for k in PER_SAMPLE_METRICS if k in report.per_sample]
+    cols = list(report.per_sample)
     lines = ["sample," + ",".join(cols)]
     for i in range(report.n_samples):
         lines.append(str(i) + "," + ",".join(repr(float(report.per_sample[k][i])) for k in cols))

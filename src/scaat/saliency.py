@@ -15,6 +15,7 @@ import numpy as np
 from . import seeds
 from .autodiff import Tensor, mul, tsum
 from .models import ParamSet, forward_eval
+from .reports import atomic_write
 
 # Sorted distinct flat pixel indices into an (H, W) map.
 IndexSet = np.ndarray
@@ -185,14 +186,8 @@ def to_u8(values: np.ndarray) -> np.ndarray:
     return np.zeros_like(values, dtype=np.uint8)
 
 
-# The savers import ``atomic_write`` when called: ``reports`` imports
-# ``metrics``, which imports this module.
-
-
 def save_pgm(smap: SaliencyMap, path) -> None:
     """Binary 8-bit PGM of the map, written atomically."""
-    from .reports import atomic_write
-
     u8 = to_u8(smap.values)
     h, w = u8.shape
     atomic_write(path, f"P5\n{w} {h}\n255\n".encode("ascii") + u8.tobytes())
@@ -200,7 +195,5 @@ def save_pgm(smap: SaliencyMap, path) -> None:
 
 def save_csv(smap: SaliencyMap, path) -> None:
     """One CSV row per map row, values as Python reprs, written atomically."""
-    from .reports import atomic_write
-
     text = "".join(",".join(repr(float(v)) for v in row) + "\n" for row in smap.values)
     atomic_write(path, text.encode("ascii"))

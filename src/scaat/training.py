@@ -29,6 +29,14 @@ class TrainingDiverged(RuntimeError):
     pass
 
 
+def _check_q_policy(q0: float, q_min: float, q_max: float, gamma: float) -> None:
+    """Reject proportion bounds out of order or a non-positive step."""
+    if not 0.0 <= q_min <= q0 <= q_max <= 1.0:
+        raise ValueError(f"need 0 <= q_min <= q0 <= q_max <= 1, got ({q_min}, {q0}, {q_max})")
+    if not gamma > 0:
+        raise ValueError(f"gamma must be > 0, got {gamma}")
+
+
 @dataclass
 class QState:
     """Per-sample perturbation proportions with their update policy."""
@@ -42,13 +50,7 @@ class QState:
 
     def __post_init__(self):
         self.q = np.asarray(self.q, dtype=np.float64)
-        if not 0.0 <= self.q_min <= self.q0 <= self.q_max <= 1.0:
-            raise ValueError(
-                f"need 0 <= q_min <= q0 <= q_max <= 1, got "
-                f"({self.q_min}, {self.q0}, {self.q_max})"
-            )
-        if self.gamma <= 0:
-            raise ValueError(f"gamma must be > 0, got {self.gamma}")
+        _check_q_policy(self.q0, self.q_min, self.q_max, self.gamma)
         self.check_bounds()
 
     def check_bounds(self):
@@ -95,6 +97,7 @@ class TrainConfig:
             raise ValueError("n_iter and batch_size must be >= 1")
         if self.lr <= 0:
             raise ValueError(f"lr must be > 0, got {self.lr}")
+        _check_q_policy(self.q0, self.q_min, self.q_max, self.gamma)
 
     def resolved_warmup(self) -> int:
         return self.warmup_iters if self.warmup_iters is not None else int(round(0.1 * self.n_iter))
@@ -120,16 +123,16 @@ def scaat_loss(params: ParamSet, x, x_adv, y: int, lam: float) -> Tensor:
 
 
 def _batch_loss(params, x, x_adv, labels, lam):
-    """Batched loss graph; returns (loss, ce values, js values, clean scores)."""
+    """Batched loss graph; returns (loss, ce values, clean scores)."""
     scores = forward_eval(params, x)
     probs = softmax(scores)
     ce_vec = cross_entropy_rows(probs, labels)
     if x_adv is None or lam == 0.0:
-        return tmean(ce_vec), ce_vec.data.copy(), None, scores.data
+        return tmean(ce_vec), ce_vec.data.copy(), scores.data
     probs_adv = softmax(forward_eval(params, x_adv))
     js_vec = js_bits(probs_adv, probs)
     loss = tmean(ce_vec + mul(js_vec, Tensor(float(lam))))
-    return loss, ce_vec.data.copy(), js_vec.data.copy(), scores.data
+    return loss, ce_vec.data.copy(), scores.data
 
 
 def _batches(n: int, batch_size: int, n_iter: int, rng: np.random.Generator):
@@ -179,7 +182,6 @@ def scaat_train(dataset, spec: ModelSpec, cfg: TrainConfig) -> TrainResult:
         y = labels[idx]
 
         x_adv = None
-        adv_objective = None
         if adversarial_mode:
             maps, clean_scores = batch_gsmap_scores(params, x, y)
             masks = lowest_masks(region_mean(maps, region), qstate.q[idx])
@@ -196,7 +198,7 @@ def scaat_train(dataset, spec: ModelSpec, cfg: TrainConfig) -> TrainResult:
                     )
                 qstate.check_bounds()
 
-        loss, ce_vals, js_vals, score_vals = _batch_loss(params, x, x_adv, y, cfg.lam)
+        loss, ce_vals, score_vals = _batch_loss(params, x, x_adv, y, cfg.lam)
         if not np.isfinite(loss.data):
             raise TrainingDiverged(f"non-finite loss at iteration {iteration}")
         loss.backward()
@@ -208,17 +210,13 @@ def scaat_train(dataset, spec: ModelSpec, cfg: TrainConfig) -> TrainResult:
             p.data -= lr_t * velocity[name]
             p.grad = None
 
-        if js_vals is not None:
-            l_adv = float(js_vals.mean())
-        elif adv_objective is not None:
-            l_adv = float(adv_objective.mean())
-        else:
-            l_adv = 0.0
         log.append(
             {
                 "iter": iteration,
                 "L_cls": float(ce_vals.mean()),
-                "L_adv": l_adv,
+                # The search objective is the loss's JS term at the same
+                # rows: the same forward ops on the same x + delta.
+                "L_adv": float(adv_objective.mean()) if adversarial_mode else 0.0,
                 "mean_q": float(qstate.q.mean()),
                 "batch_acc": float((score_vals.argmax(axis=1) == y).mean()),
             }

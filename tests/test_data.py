@@ -103,6 +103,23 @@ class TestSynthetic:
         with pytest.raises(DataFormatError, match="unknown synthetic spec key"):
             parse_synthetic_spec("half-informative,frobnicate=3")
 
+    @pytest.mark.parametrize(
+        "entry, key",
+        [("n=abc", "'n'"), ("n=1.5", "'n'"), ("amp=high", "'amp'"), ("ratios=0.25:x", "'ratios'"),
+         ("ratios=", "'ratios'"), ("task=one", "'task'")],
+    )
+    def test_spec_rejects_bad_value(self, entry, key):
+        with pytest.raises(DataFormatError, match=f"synthetic spec key {key}: cannot read"):
+            parse_synthetic_spec(f"half-informative,{entry}")
+
+    def test_spec_gives_generator_arguments(self):
+        opts = parse_synthetic_spec("half-informative,n=12,size=8,task=3,spurious=0.2")
+        assert opts["task_seed"] == 3 and "task" not in opts and opts["spurious"] == 0.2
+        via_spec = load_dataset("half-informative,n=12,size=8,task=3,spurious=0.2", "synthetic-spec")
+        direct = generate_half_informative(n=12, size=8, task_seed=3, spurious=0.2)
+        np.testing.assert_array_equal(via_spec.images, direct.images)
+        np.testing.assert_array_equal(via_spec.labels, direct.labels)
+
     def test_generator_contract(self):
         ds = generate_half_informative(n=30, size=8, classes=2, ratios=(0.25, 0.75), seed=5)
         assert len(ds) == 30

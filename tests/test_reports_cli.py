@@ -299,6 +299,13 @@ class TestCli:
             pytest.param(lambda d: d["eval"].update(limit=0), "limit must be >= 1", id="eval-limit"),
             pytest.param(lambda d: d["eval"].update(repeats=0), "eval: repeats must be >= 1", id="eval-repeats"),
             pytest.param(lambda d: [1, 2], "run config: expected a JSON object", id="list-document"),
+            pytest.param(
+                lambda d: d["train"].update(q_min=0.9, q_max=0.1), "train: need 0 <= q_min", id="q-bounds-order"
+            ),
+            pytest.param(lambda d: d["train"].update(gamma=0), "train: gamma must be > 0", id="gamma-zero"),
+            pytest.param(
+                lambda d: d["train"].update(gamma=float("nan")), "train: gamma must be > 0", id="gamma-nan"
+            ),
         ],
     )
     def test_malformed_config_exits_one(self, tmp_path, capsys, edit, message):
