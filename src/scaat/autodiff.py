@@ -4,7 +4,8 @@ A small numpy-backed engine: each operation records its parents and a
 backward closure, ``backward()`` walks the graph once in reverse
 topological order. The primitive set is only what the image classifiers
 need: add, mul, matmul, conv2d, relu, max_pool2d, reshape, sum, mean,
-softmax, log.
+softmax, log, and conv2d_bias_relu, the CNN's conv + bias + ReLU as
+one node.
 
 All values are float64. Gradients are only computed for branches that
 lead to a leaf with ``requires_grad=True``; constant subtrees cost
@@ -391,17 +392,44 @@ def _conv2d_input_grad(
     return np.ascontiguousarray(dxq.transpose(1, 0, 2, 3))
 
 
+def _conv2d_backward(g, a: Tensor, w: Tensor, cols, stride: int, padding: int) -> None:
+    if w.requires_grad:
+        w._accum(_conv2d_weight_grad(g, cols, w.data.shape))
+    if a.requires_grad:
+        a._accum(_conv2d_input_grad(g, w.data, a.data.shape, stride, padding))
+
+
 def conv2d(a: Tensor, w: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
     """2-D cross-correlation of (N,C,H,W) input with (F,C,kh,kw) filters."""
     out, cols = _conv2d_forward(a.data, w.data, stride, padding)
+    cols = cols if w.requires_grad else None  # only dW reads the unfold
 
     def bwd(g):
-        if w.requires_grad:
-            w._accum(_conv2d_weight_grad(g, cols, w.data.shape))
-        if a.requires_grad:
-            a._accum(_conv2d_input_grad(g, w.data, a.data.shape, stride, padding))
+        _conv2d_backward(g, a, w, cols, stride, padding)
 
     return _make(out, (a, w), bwd)
+
+
+def conv2d_bias_relu(a: Tensor, w: Tensor, b: Tensor, padding: int = 0) -> Tensor:
+    """``relu(conv2d(a, w, padding=padding) + b[None, :, None, None])`` as
+    one node, bit for bit: the bias and the ReLU are applied in place on
+    the fresh conv output, so the graph keeps one activation instead of
+    three."""
+    out, cols = _conv2d_forward(a.data, w.data, 1, padding)
+    cols = cols if w.requires_grad else None
+    out += b.data.reshape(1, -1, 1, 1)
+    np.maximum(out, 0.0, out=out)
+
+    def bwd(g):
+        # out > 0 exactly where the pre-activation is > 0 (NaN fails both)
+        g = g * (out > 0.0)
+        if b.requires_grad:
+            # as add's backward: a (1, F, 1, 1) g is passed on unsummed,
+            # which keeps a lone -0.0
+            b._accum(_unbroadcast(g, (1, g.shape[1], 1, 1)).reshape(b.data.shape))
+        _conv2d_backward(g, a, w, cols, 1, padding)
+
+    return _make(out, (a, w, b), bwd)
 
 
 def _pool_views(x: np.ndarray, k: int):

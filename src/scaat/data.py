@@ -9,6 +9,7 @@ error types below and never yields a partial dataset.
 from __future__ import annotations
 
 import inspect
+import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -80,6 +81,11 @@ IDX_LABELS_MAGIC = 0x00000801
 
 
 def _read_exact(f, count: int, what: str) -> bytes:
+    # count may come from a corrupt header: check it against the bytes the
+    # file has left before asking read() for that many
+    left = os.fstat(f.fileno()).st_size - f.tell()
+    if count > left:
+        raise TruncatedFileError(f"{what}: expected {count} bytes, {left} left in the file")
     buf = f.read(count)
     if len(buf) != count:
         raise TruncatedFileError(f"{what}: expected {count} bytes, got {len(buf)}")
@@ -172,6 +178,18 @@ def parse_synthetic_spec(spec: str) -> dict:
         except ValueError:
             kind = type(opts[name]).__name__
             raise DataFormatError(f"synthetic spec key {key!r}: cannot read {val!r} as {kind}") from None
+    n_pixels = opts["size"] ** 2
+    for key, ok, rule in (
+        ("n", opts["n"] >= 0, ">= 0"),
+        ("size", opts["size"] >= 1, ">= 1"),
+        ("channels", opts["channels"] >= 1, ">= 1"),
+        ("classes", opts["classes"] >= 1, ">= 1"),
+        # a ratio that rounds to the whole image leaves an empty patch
+        ("ratios", all(0.0 <= r < 1.0 and round(r * n_pixels) < n_pixels for r in opts["ratios"]),
+         f"in [0, 1), leaving at least one of the {n_pixels} pixels in the patch"),
+    ):
+        if not ok:
+            raise DataFormatError(f"synthetic spec key {key!r}: must be {rule}, got {opts[key]!r}")
     return opts
 
 

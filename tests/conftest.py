@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,18 @@ def fd_grad(f, x, h=1e-4):
         xm[idx] -= h
         g[idx] = (f(xp) - f(xm)) / (2 * h)
     return g
+
+
+def kept_bytes(build):
+    """``build()``'s result and the bytes allocated during the call that
+    are still held when it returns, as tracemalloc counts them."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        out = build()
+        return out, tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
 
 
 def linear_model(w, b=None, input_shape=None):

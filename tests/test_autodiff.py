@@ -7,6 +7,7 @@ from scaat.autodiff import (
     Tensor,
     backward_grad,
     conv2d,
+    conv2d_bias_relu,
     cross_entropy,
     cross_entropy_rows,
     matmul,
@@ -20,7 +21,7 @@ from scaat.autodiff import (
     tmean,
     tsum,
 )
-from conftest import fd_grad
+from conftest import fd_grad, kept_bytes
 
 
 def check_op(op, x_shape, rng, trials=5, make_input=None, rtol=1e-3):
@@ -105,6 +106,71 @@ class TestPrimitiveGradients:
 
     def test_max_pool(self, rng):
         check_op(lambda t: max_pool2d(t, 2), (2, 3, 6, 6), rng, trials=3)
+
+
+class TestConvBiasRelu:
+    def test_gradients_match_finite_differences(self, rng):
+        x = rng.standard_normal((2, 2, 5, 5))
+        w = rng.standard_normal((3, 2, 3, 3))
+        b = rng.standard_normal(3)
+        op = lambda a, k, c: conv2d_bias_relu(a, k, c, padding=1)  # noqa: E731
+        check_op(lambda t: op(t, Tensor(w), Tensor(b)), x.shape, rng, trials=3)
+        check_op(lambda t: op(Tensor(x), t, Tensor(b)), w.shape, rng, trials=3)
+        check_op(lambda t: op(Tensor(x), Tensor(w), t), b.shape, rng, trials=3)
+
+    def test_matches_unfused_composition_bitwise(self, rng):
+        # ties at 0 and -0.0, NaN inputs and a non-finite, signed-zero
+        # upstream gradient: value and all three gradients must carry
+        # the same bits as relu(conv2d(a, w) + b)
+        def pick(values, shape, p_normal=0.5):
+            arr = rng.choice(values, size=shape)
+            return np.where(rng.random(shape) < p_normal, rng.standard_normal(shape), arr)
+
+        for case in range(40):
+            n, c, f, side = rng.integers(1, 4), rng.integers(1, 4), rng.integers(1, 5), rng.integers(2, 7)
+            padding = int(rng.integers(0, 2))
+            nan = [np.nan] if case % 2 else []
+            x = pick([0.0, -0.0, 1.0, -1.0] + nan, (n, c, side, side))
+            w = pick([0.0, -0.0, 0.5, -0.5], (f, c, 3, 3))
+            b = pick([0.0, -0.0] + nan, (f,))
+            wants = [bool(v) for v in rng.integers(0, 2, 3)]
+            wants[case % 3] = True
+            out_shape = (n, f, side + 2 * padding - 2, side + 2 * padding - 2)
+            g = pick([0.0, -0.0, np.inf, -np.inf, np.nan], out_shape)
+
+            results = []
+            for fused in (True, False):
+                a_t, w_t, b_t = (Tensor(v, requires_grad=r) for v, r in zip((x, w, b), wants))
+                if fused:
+                    out = conv2d_bias_relu(a_t, w_t, b_t, padding=padding)
+                else:
+                    out = relu(conv2d(a_t, w_t, padding=padding) + reshape(b_t, (1, -1, 1, 1)))
+                with np.errstate(invalid="ignore"):
+                    tsum(mul(out, Tensor(g))).backward()
+                results.append([out.data] + [t.grad for t in (a_t, w_t, b_t)])
+            for got, want in zip(*results):
+                if want is None:
+                    assert got is None
+                else:
+                    assert got.shape == want.shape
+                    assert got.tobytes() == want.tobytes(), f"case {case}"
+
+    @pytest.mark.parametrize("fused", [False, True])
+    def test_unfold_kept_only_for_dw(self, rng, fused):
+        # only dW reads the unfold, so a node whose weights are frozen
+        # keeps its output alone
+        x = Tensor(rng.standard_normal((4, 3, 16, 16)), requires_grad=True)
+        out_bytes, cols_bytes = 4 * 8 * 16 * 16 * 8, 27 * 4 * 16 * 16 * 8
+        for w_grad in (False, True):
+            w = Tensor(rng.standard_normal((8, 3, 3, 3)), requires_grad=w_grad)
+            b = Tensor(np.zeros(8))
+            op = (lambda: conv2d_bias_relu(x, w, b, padding=1)) if fused else (lambda: conv2d(x, w, padding=1))
+            out, kept = kept_bytes(op)
+            assert out.data.nbytes == out_bytes
+            if w_grad:
+                assert kept >= out_bytes + cols_bytes
+            else:
+                assert out_bytes <= kept < out_bytes + cols_bytes // 2
 
 
 def argmax_pool(x, g, k):

@@ -55,6 +55,20 @@ class TestIdx:
         with pytest.raises(TruncatedFileError):
             load_idx(img_path, n_classes=2)
 
+    @pytest.mark.parametrize("which", ["images", "labels"])
+    @pytest.mark.parametrize("count", [2**31, 0xFFFFFFFF])
+    def test_header_size_beyond_file(self, tmp_path, which, count):
+        # a corrupt count is checked against the file's size before any
+        # read: taken at its word, it would ask read() for gigabytes
+        img_path, lbl_path = write_idx_pair(tmp_path, np.zeros((2, 3, 3), dtype=np.uint8), [0, 1])
+        if which == "images":
+            dims = (count, count, count) if count == 0xFFFFFFFF else (count, 3, 3)
+            img_path.write_bytes(struct.pack(">IIII", 0x803, *dims) + img_path.read_bytes()[16:])
+        else:
+            lbl_path.write_bytes(struct.pack(">II", 0x801, count) + lbl_path.read_bytes()[8:])
+        with pytest.raises(TruncatedFileError, match=f"idx {which[:-1]} data: expected"):
+            load_idx(img_path, n_classes=2)
+
     def test_label_out_of_range(self, tmp_path):
         img_path, _ = write_idx_pair(tmp_path, np.zeros((2, 2, 2), dtype=np.uint8), [0, 9])
         with pytest.raises(LabelRangeError):
@@ -111,6 +125,16 @@ class TestSynthetic:
     def test_spec_rejects_bad_value(self, entry, key):
         with pytest.raises(DataFormatError, match=f"synthetic spec key {key}: cannot read"):
             parse_synthetic_spec(f"half-informative,{entry}")
+
+    @pytest.mark.parametrize(
+        "entry, key",
+        [("ratios=1.5", "'ratios'"), ("ratios=-0.5", "'ratios'"), ("ratios=0.25:0.999", "'ratios'"),
+         ("n=-1", "'n'"), ("size=0", "'size'"), ("classes=0", "'classes'"), ("channels=0", "'channels'")],
+    )
+    def test_spec_rejects_out_of_range(self, entry, key):
+        # 0.999 rounds to all 64 pixels of an 8x8 image: an empty patch
+        with pytest.raises(DataFormatError, match=f"synthetic spec key {key}: must be"):
+            load_dataset(f"half-informative,n=4,size=8,{entry}", "synthetic-spec")
 
     def test_spec_gives_generator_arguments(self):
         opts = parse_synthetic_spec("half-informative,n=12,size=8,task=3,spurious=0.2")

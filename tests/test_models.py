@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from scaat.autodiff import Tensor, conv2d, matmul, max_pool2d, mul, relu, reshape, tsum
 from scaat.models import ModelSpec, ParamSet, forward_eval, init_model, predict_proba, scores_np
-from conftest import linear_model
+from conftest import kept_bytes, linear_model
 
 
 class TestModelSpec:
@@ -119,6 +120,76 @@ class TestForward:
         params = init_model(spec)
         with pytest.raises(ValueError, match=r"expected \(3, 8, 8\).*got \(3, 7, 8\)"):
             scores_np(params, rng.uniform(0, 1, (3, 7, 8)))
+
+
+def unfused_cnn(params, xt):
+    """The CNN forward with each conv, bias add and ReLU as three nodes:
+    the oracle for forward_eval's fused conv2d_bias_relu."""
+    n = xt.data.shape[0]
+    h = relu(conv2d(xt, params["conv1.w"], padding=1) + reshape(params["conv1.b"], (1, -1, 1, 1)))
+    h = max_pool2d(h, 2)
+    h = relu(conv2d(h, params["conv2.w"], padding=1) + reshape(params["conv2.b"], (1, -1, 1, 1)))
+    h = reshape(max_pool2d(h, 2), (n, -1))
+    return matmul(h, params["fc.w"]) + params["fc.b"]
+
+
+class TestFusedCnnForward:
+    @pytest.mark.parametrize("frozen", [False, True])
+    def test_matches_unfused_forward_and_backward_bitwise(self, rng, frozen):
+        spec = ModelSpec("cnn", (3, 8, 8), 5, channels=(4, 6), seed=3)
+        arrays = init_model(spec).arrays()
+        # pixels at 0 and a zero bias channel put pre-activations on the
+        # ReLU's kink; the upstream gradient has signed zeros
+        x = np.where(rng.random((4, 3, 8, 8)) < 0.3, 0.0, rng.uniform(0, 1, (4, 3, 8, 8)))
+        arrays["conv1.b"][0] = 0.0
+        g = rng.choice([-1.5, -0.0, 0.0, 2.0], size=(4, 5))
+        results = []
+        for forward in (forward_eval, unfused_cnn):
+            params = ParamSet.from_arrays(spec, arrays)
+            params = params.frozen() if frozen else params
+            xt = Tensor(x, requires_grad=True)
+            scores = forward(params, xt)
+            tsum(mul(scores, Tensor(g))).backward()
+            grads = [t.grad for _, t in params.items()]
+            results.append([scores.data, xt.grad] + grads)
+        for got, want in zip(*results):
+            if want is None:
+                assert got is None
+            else:
+                assert got.tobytes() == want.tobytes()
+
+
+class TestGraphMemory:
+    """Bytes one batch-64 forward graph of the gate's CNN keeps alive."""
+
+    N = 64
+    SPEC = ModelSpec("cnn", (3, 32, 32), 10, channels=(16, 32), seed=0)
+
+    def graph_bytes(self, params, x) -> int:
+        scores, kept = kept_bytes(lambda: forward_eval(params, x))
+        assert scores.requires_grad
+        return kept
+
+    def sizes(self):
+        n, (c, h, w), (c1, c2) = self.N, self.SPEC.input_shape, self.SPEC.channels
+        # conv1, pool1, conv2 and pool2 outputs, then fc's matmul and bias add
+        activations = 8 * n * (c1 * h * w + c1 * h * w // 4 + c2 * h * w // 4 + c2 * h * w // 16
+                               + 2 * self.SPEC.n_classes)
+        unfolds = 8 * n * 9 * (c * h * w + c1 * h * w // 4)
+        return activations, unfolds
+
+    def test_frozen_weights_keep_activations_only(self, rng):
+        # the saliency and search passes: only the input requires grad
+        params = init_model(self.SPEC).frozen()
+        x = Tensor(rng.uniform(0, 1, (self.N, *self.SPEC.input_shape)), requires_grad=True)
+        activations, _ = self.sizes()
+        assert activations <= self.graph_bytes(params, x) <= activations + 2**20
+
+    def test_trainable_weights_keep_both_unfolds(self, rng):
+        params = init_model(self.SPEC)
+        x = rng.uniform(0, 1, (self.N, *self.SPEC.input_shape))
+        activations, unfolds = self.sizes()
+        assert activations + unfolds <= self.graph_bytes(params, x) <= activations + unfolds + 2**20
 
 
 class TestPredictProba:
