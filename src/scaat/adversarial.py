@@ -21,7 +21,7 @@ import numpy as np
 
 from . import seeds
 from .autodiff import Tensor, mul, softmax, tlog, tsum
-from .models import ParamSet, forward_eval
+from .models import ParamSet, forward_eval, predict_proba
 from .saliency import IndexSet
 
 _LN2 = float(np.log(2.0))
@@ -144,11 +144,12 @@ def perturb_batch(
     cfg: AdvConfig,
     masks: np.ndarray,
     rng: np.random.Generator,
-    p_clean: np.ndarray | None = None,
+    p_clean: np.ndarray,
 ):
     """Run the masked search for a whole batch.
 
-    ``masks`` is a boolean (N, H*W) array of perturbable pixels. FGSM is
+    ``masks`` is a boolean (N, H*W) array of perturbable pixels, and
+    ``p_clean`` the (N, n_classes) reference distributions. FGSM is
     the one-step case of the PGD loop: its step of size epsilon uses the
     gradient at the random start but is taken from the clean input.
     Returns (delta, objective, adv_proba) stacked over samples, each
@@ -159,14 +160,8 @@ def perturb_batch(
     n, c, h, w = x.shape
     mask_pix = masks.reshape(n, 1, h, w)
     eps = cfg.epsilon
-
-    if p_clean is None:
-        p_clean = softmax(forward_eval(frozen, x)).data
-    else:
-        # Shape (N, n_classes) and rows on the simplex, checked against a
-        # uniform reference of that shape.
-        n_classes = params.spec.n_classes
-        p_clean, _ = _checked_rows(p_clean, np.full((n, n_classes), 1.0 / n_classes))
+    # shape and simplex rows, checked against a uniform reference
+    p_clean, _ = _checked_rows(p_clean, np.full((n, params.spec.n_classes), 1.0 / params.spec.n_classes))
 
     # Uniform random start, but pick the better of the two mirrored signs
     # per sample: the objective is locally U-shaped around the clean
@@ -212,7 +207,7 @@ def _single(params, x, y, cfg, mask, rng, expected_variant) -> Perturbation:
         raise ValueError(f"mask indices out of range [0, {n_pixels})")
     mask_flat = np.zeros((1, n_pixels), dtype=bool)
     mask_flat[0, mask] = True
-    delta, obj, probs = perturb_batch(params, x[None], cfg, mask_flat, rng)
+    delta, obj, probs = perturb_batch(params, x[None], cfg, mask_flat, rng, predict_proba(params, x[None]))
     return Perturbation(delta=delta[0], mask=mask, objective=float(obj[0]), adv_proba=probs[0])
 
 

@@ -8,6 +8,7 @@ end of file; tensor order is preserved.
 
 from __future__ import annotations
 
+import math
 import struct
 from collections import OrderedDict
 
@@ -16,6 +17,7 @@ import numpy as np
 from .reports import atomic_write
 
 MAGIC = b"SCT1"
+MAX_RANK = 32   # numpy 1's limit on array dimensions; numpy 2 allows 64
 
 
 class CheckpointError(ValueError):
@@ -51,11 +53,15 @@ def load_checkpoint(path) -> "OrderedDict[str, np.ndarray]":
             name = buf[pos : pos + nlen].decode("utf-8")
             pos += nlen
             (rank,) = struct.unpack_from("<I", buf, pos)
+            if rank > MAX_RANK:
+                raise CheckpointError(f"tensor rank {rank} near byte {pos} exceeds {MAX_RANK}")
             pos += 4
             shape = struct.unpack_from(f"<{rank}I", buf, pos)
             pos += 4 * rank
-            count = int(np.prod(shape, dtype=np.int64)) if rank else 1
-            end = pos + 4 * count
+            # Python ints cannot wrap; numpy bounds the nonzero extents' product
+            if 4 * math.prod(d or 1 for d in shape) > np.iinfo(np.intp).max:
+                raise CheckpointError(f"tensor extents {shape} near byte {pos} exceed the address space")
+            end = pos + 4 * math.prod(shape)
             if end > len(buf):
                 raise struct.error("data")
             arr = np.frombuffer(buf[pos:end], dtype="<f4").reshape(shape)

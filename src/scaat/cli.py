@@ -12,13 +12,11 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-import numpy as np
-
 from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from .config import ConfigError, RunConfig, load_run_config, save_run_config
 from .data import DataFormatError
-from .metrics import evaluate_model, evaluate_sample, saliency_for_sample
-from .models import ParamSet, predict_proba
+from .metrics import evaluate_model, saliency_for_sample
+from .models import ParamSet
 from .reports import export_curve_csv, export_report, write_json, write_jsonl
 from .saliency import save_csv, save_pgm
 from .training import scaat_train
@@ -69,7 +67,6 @@ def _cmd_train(args) -> int:
     dataset = cfg.data.load_split("train")
     result = scaat_train(dataset, cfg.model, cfg.train)
 
-    out.mkdir(parents=True, exist_ok=True)
     save_checkpoint(result.params.arrays(), out / "checkpoint.sct")
     write_json(
         {
@@ -113,36 +110,24 @@ def _cmd_saliency(args) -> int:
     dataset = cfg.data.load_split(args.split)
     protocol = _protocol_for(cfg, args)
     out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     indices = [int(s) for s in args.indices.split(",") if s.strip()]
     for i in indices:
         if not 0 <= i < len(dataset):
             raise IndexError(f"sample index {i} out of range [0, {len(dataset)})")
-        x = dataset.images[i]
-        target = int(predict_proba(params, x).argmax())
-        smap = saliency_for_sample(params, x, target, protocol, rng_seed=cfg.seed + i)
+        p_clean, smap = saliency_for_sample(params, dataset.images[i], protocol, rng_seed=cfg.seed + i)
         stem = out / f"saliency_{i:05d}_{protocol.saliency}"
         save_pgm(smap, f"{stem}.pgm")
         save_csv(smap, f"{stem}.csv")
-        print(f"sample {i} (predicted {target}): {stem}.pgm {stem}.csv")
+        print(f"sample {i} (predicted {int(p_clean.argmax())}): {stem}.pgm {stem}.csv")
     return 0
 
 
 def _cmd_curves(args) -> int:
     cfg = _load_config(args)
     params = _load_params(cfg, args.ckpt)
-    dataset = cfg.data.load_split(args.split)
-    protocol = _protocol_for(cfg, args)
-    n = len(dataset) if protocol.limit is None else min(protocol.limit, len(dataset))
-    out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    curves = [
-        evaluate_sample(params, x, int(predict_proba(params, x).argmax()), protocol, cfg.seed, i)[1:]
-        for i, x in enumerate(dataset.images[:n])
-    ]
-    for k, order in enumerate(("lerf", "morf")):
-        values = np.array([pair[k].values for pair in curves]).reshape(n, protocol.steps)
-        path = out / f"curves_{order}.csv"
+    report = evaluate_model(params, cfg.data.load_split(args.split), _protocol_for(cfg, args), seed=cfg.seed)
+    for order, values in report.curves.items():
+        path = Path(cfg.out_dir) / f"curves_{order}.csv"
         export_curve_csv(values.mean(axis=0), values.std(axis=0), path)
         print(f"{order}: mean AOPC {values.mean():.6g} -> {path}")
     return 0

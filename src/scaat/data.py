@@ -92,6 +92,13 @@ def _read_exact(f, count: int, what: str) -> bytes:
     return buf
 
 
+def _read_to_end(f, count: int, what: str) -> bytes:
+    extra = os.fstat(f.fileno()).st_size - f.tell() - count
+    if extra > 0:
+        raise DataFormatError(f"{what}: {extra} trailing bytes after the declared {count}")
+    return _read_exact(f, count, what)
+
+
 def load_idx(images_path, labels_path=None, n_classes: int = 10, split: str = "train") -> Dataset:
     """MNIST-style big-endian IDX pair; labels path derived when omitted."""
     images_path = Path(images_path)
@@ -109,7 +116,9 @@ def load_idx(images_path, labels_path=None, n_classes: int = 10, split: str = "t
             raise MagicNumberError(
                 f"idx image magic 0x{magic:08x}, expected 0x{IDX_IMAGES_MAGIC:08x}"
             )
-        raw = _read_exact(f, count * rows * cols, "idx image data")
+        if not rows or not cols:
+            raise DataFormatError(f"idx image header: {'cols' if rows else 'rows'} is 0")
+        raw = _read_to_end(f, count * rows * cols, "idx image data")
     images = np.frombuffer(raw, dtype=np.uint8).reshape(count, 1, rows, cols) / 255.0
 
     with open(labels_path, "rb") as f:
@@ -118,7 +127,7 @@ def load_idx(images_path, labels_path=None, n_classes: int = 10, split: str = "t
             raise MagicNumberError(
                 f"idx label magic 0x{magic:08x}, expected 0x{IDX_LABELS_MAGIC:08x}"
             )
-        labels = np.frombuffer(_read_exact(f, lcount, "idx label data"), dtype=np.uint8)
+        labels = np.frombuffer(_read_to_end(f, lcount, "idx label data"), dtype=np.uint8)
     if lcount != count:
         raise DataFormatError(f"{count} images but {lcount} labels in idx pair")
 
@@ -178,18 +187,6 @@ def parse_synthetic_spec(spec: str) -> dict:
         except ValueError:
             kind = type(opts[name]).__name__
             raise DataFormatError(f"synthetic spec key {key!r}: cannot read {val!r} as {kind}") from None
-    n_pixels = opts["size"] ** 2
-    for key, ok, rule in (
-        ("n", opts["n"] >= 0, ">= 0"),
-        ("size", opts["size"] >= 1, ">= 1"),
-        ("channels", opts["channels"] >= 1, ">= 1"),
-        ("classes", opts["classes"] >= 1, ">= 1"),
-        # a ratio that rounds to the whole image leaves an empty patch
-        ("ratios", all(0.0 <= r < 1.0 and round(r * n_pixels) < n_pixels for r in opts["ratios"]),
-         f"in [0, 1), leaving at least one of the {n_pixels} pixels in the patch"),
-    ):
-        if not ok:
-            raise DataFormatError(f"synthetic spec key {key!r}: must be {rule}, got {opts[key]!r}")
     return opts
 
 
@@ -240,12 +237,28 @@ def generate_half_informative(
     amplitudes are capped so the signal never hits the [0, 1] clip,
     which would weaken one group only.
     """
+    n_pixels = size * size
+    for key, value, ok, rule in (
+        ("n", n, n >= 0, ">= 0"),
+        ("size", size, size >= 1, ">= 1"),
+        ("channels", channels, channels >= 1, ">= 1"),
+        ("classes", classes, classes >= 1, ">= 1"),
+        # a ratio that rounds to the whole image leaves an empty patch
+        ("ratios", ratios, len(ratios) and all(0.0 <= r < 1.0 and round(r * n_pixels) < n_pixels for r in ratios),
+         f"in [0, 1), leaving at least one of the {n_pixels} pixels in the patch"),
+        # patch pixels 0.5 +- amp_i + U(-noise, noise), amp_i <= 0.5 - noise
+        ("amp", amp, amp >= 0.0, ">= 0"),
+        ("noise", noise, 0.0 <= noise <= 0.5, "in [0, 0.5]"),
+        # the shifted background is clipped: at 1 it is the bare texture
+        ("spurious", spurious, 0.0 <= spurious <= 1.0, "in [0, 1]"),
+    ):
+        if not ok:
+            raise DataFormatError(f"synthetic spec key {key!r}: must be {rule}, got {value!r}")
     rng = seeds.stream(seed, seeds.SYNTH)
     tile = 4
     textures = seeds.stream(task_seed, seeds.SYNTH, 7).choice(
         [-1.0, 1.0], size=(classes, channels, tile, tile)
     )
-    n_pixels = size * size
 
     images = rng.uniform(0.0, 1.0, size=(n, channels, size, size))
     labels = rng.integers(0, classes, size=n)

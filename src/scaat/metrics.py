@@ -74,6 +74,7 @@ def perturbation_curve(
     repeats: int = 5,
     region: int = 4,
     rng: np.random.Generator | int | None = None,
+    p_clean: np.ndarray | None = None,
 ) -> PerturbationCurve:
     """Decay of the clean argmax-class probability as ranked regions are
     replaced with uniform-random pixels, cumulatively over ``steps``.
@@ -81,7 +82,9 @@ def perturbation_curve(
     Ranking is by mean region saliency, ascending for "lerf" and
     descending for "morf"; ties break on region index. The random fill
     is redrawn for each of ``repeats`` passes and decays are averaged.
-    Steps that perturb the same number of regions share one scored row.
+    Steps that perturb the same number of regions share one scored row,
+    and steps that perturb none read the clean probabilities
+    ``p_clean`` (the model's output at ``x``, predicted when omitted).
     """
     if order not in ("lerf", "morf"):
         raise ValueError(f"order must be 'lerf' or 'morf', got {order!r}")
@@ -103,24 +106,25 @@ def perturbation_curve(
     ranking = _tile_ranking(smap.values, region, order)
     n_tiles = ranking.size
     counts = np.floor(np.arange(1, steps + 1) * fraction * n_tiles / steps + 1e-9).astype(int)
-    distinct, step_row = np.unique(counts, return_inverse=True)
+    # row 0 is the clean image; the rest each perturb a distinct count
+    distinct, step_row = np.unique(np.append(0, counts), return_inverse=True)
 
     pos_of_tile = np.empty(n_tiles, dtype=np.int64)
     pos_of_tile[ranking] = np.arange(n_tiles)
-    masks = pos_of_tile[None, :] < distinct[:, None]                 # (rows, n_tiles)
-    masks = masks.reshape(distinct.size, h // region, w // region)
+    masks = pos_of_tile[None, :] < distinct[1:, None]                # (rows - 1, n_tiles)
+    masks = masks.reshape(distinct.size - 1, h // region, w // region)
     masks = np.repeat(np.repeat(masks, region, axis=1), region, axis=2)
 
-    p_clean = predict_proba(params, x)
-    target = int(p_clean.argmax())
-    base = p_clean[target]
+    probs = np.empty((distinct.size, params.spec.n_classes))
+    probs[0] = predict_proba(params, x) if p_clean is None else p_clean
+    target = int(probs[0].argmax())
 
     decays = np.zeros(steps)
     for _ in range(repeats):
         fill = rng.uniform(0.0, 1.0, size=x.shape)
-        batch = np.where(masks[:, None, :, :], fill[None], x[None])
-        probs = predict_proba(params, batch)
-        decays += base - probs[step_row, target]
+        if len(masks):
+            probs[1:] = predict_proba(params, np.where(masks[:, None, :, :], fill[None], x[None]))
+        decays += probs[0, target] - probs[step_row[1:], target]
     return PerturbationCurve(order, steps, fraction, repeats, decays / repeats)
 
 
@@ -183,34 +187,38 @@ class MetricsReport:
     protocol: dict
     seed: int
     n_samples: int
+    curves: dict          # "lerf" / "morf" -> (n_samples, steps) decay values
 
 
-def saliency_for_sample(params, x, target, protocol: EvalProtocol, rng_seed: int) -> SaliencyMap:
+def saliency_for_sample(params, x, protocol: EvalProtocol, rng_seed: int) -> tuple[np.ndarray, SaliencyMap]:
+    """The model's class probabilities at ``x`` and the saliency map for
+    their argmax class; returns (probs, map)."""
+    p_clean = predict_proba(params, x)
+    target = int(p_clean.argmax())
     if protocol.saliency == "vanilla":
-        return vanilla_gsmap(params, x, target)
+        return p_clean, vanilla_gsmap(params, x, target)
     if protocol.saliency == "smoothgrad":
         rng = seeds.stream(rng_seed, seeds.SMOOTH)
-        return smooth_grad(params, x, target, protocol.smooth_samples, protocol.smooth_sigma, rng)
-    return integrated_gradients(params, x, target, np.zeros_like(x), protocol.ig_steps)
+        return p_clean, smooth_grad(params, x, target, protocol.smooth_samples, protocol.smooth_sigma, rng)
+    return p_clean, integrated_gradients(params, x, target, np.zeros_like(x), protocol.ig_steps)
 
 
-def evaluate_sample(params: ParamSet, x, target: int, protocol: EvalProtocol, seed: int, index: int):
-    """Saliency map of one sample for class ``target``, and its LeRF and
-    MoRF curves; returns (map, lerf, morf).
-
-    Randomness derives from (seed, index), so a sample's result does not
-    depend on which other samples are evaluated with it.
-    """
+def evaluate_sample(params: ParamSet, x, protocol: EvalProtocol, seed: int, index: int):
+    """One sample's predicted class, its saliency map for that class and
+    its LeRF and MoRF curves, all from one prediction at ``x``; returns
+    (class, map, lerf, morf). Randomness derives from (seed, index), so a
+    sample's result does not depend on which other samples are evaluated
+    with it."""
     region = protocol.resolved_region(params.spec.input_shape)
-    smap = saliency_for_sample(params, x, target, protocol, rng_seed=seed + index)
+    p_clean, smap = saliency_for_sample(params, x, protocol, rng_seed=seed + index)
 
     def curve(order: str, tag: int) -> PerturbationCurve:
         return perturbation_curve(
-            params, x, smap, order, protocol.steps, protocol.fraction,
-            protocol.repeats, region, rng=seeds.stream(seed, seeds.EVAL, index, tag),
+            params, x, smap, order, protocol.steps, protocol.fraction, protocol.repeats, region,
+            rng=seeds.stream(seed, seeds.EVAL, index, tag), p_clean=p_clean,
         )
 
-    return smap, curve("lerf", 0), curve("morf", 1)
+    return int(p_clean.argmax()), smap, curve("lerf", 0), curve("morf", 1)
 
 
 def evaluate_model(params: ParamSet, dataset, protocol: EvalProtocol, seed: int = 0) -> MetricsReport:
@@ -220,33 +228,25 @@ def evaluate_model(params: ParamSet, dataset, protocol: EvalProtocol, seed: int 
     all-zero map has no entropy or Gini index; its row reads NaN there,
     and so do those aggregates.
     """
-    images = np.asarray(dataset.images, dtype=np.float64)
-    labels = np.asarray(dataset.labels)
-    if protocol.limit is not None:
-        images = images[: protocol.limit]
-        labels = labels[: protocol.limit]
+    images = np.asarray(dataset.images, dtype=np.float64)[: protocol.limit]
     n = images.shape[0]
 
-    preds = np.empty(n, dtype=np.int64)
-    for lo in range(0, n, 256):
-        preds[lo : lo + 256] = predict_proba(params, images[lo : lo + 256]).argmax(axis=1)
-
     rows = []
+    curves = {order: np.empty((n, protocol.steps)) for order in ("lerf", "morf")}
     for i in range(n):
-        smap, lerf, morf = evaluate_sample(params, images[i], int(preds[i]), protocol, seed, i)
+        pred, smap, lerf, morf = evaluate_sample(params, images[i], protocol, seed, i)
+        curves["lerf"][i], curves["morf"][i] = lerf.values, morf.values
         a_l, a_m = aopc(lerf), aopc(morf)
         defined = smap.values.sum() > 0
-        rows.append(
-            {
-                "entropy": saliency_entropy(smap) if defined else float("nan"),
-                "size_kib": compressed_size(smap),
-                "gini": gini_index(smap) if defined else float("nan"),
-                "aopc_lerf": a_l,
-                "aopc_morf": a_m,
-                "aopc_rel": a_m / a_l if a_l != 0 else float("nan"),
-                "correct": float(preds[i] == labels[i]),
-            }
-        )
+        rows.append({
+            "entropy": saliency_entropy(smap) if defined else float("nan"),
+            "size_kib": compressed_size(smap),
+            "gini": gini_index(smap) if defined else float("nan"),
+            "aopc_lerf": a_l,
+            "aopc_morf": a_m,
+            "aopc_rel": a_m / a_l if a_l != 0 else float("nan"),
+            "correct": float(pred == dataset.labels[i]),
+        })
 
     per_sample = {k: np.array([r[k] for r in rows]) for k in PER_SAMPLE_METRICS}
     agg = {k: float(per_sample[k].mean()) for k in ("entropy", "size_kib", "gini", "aopc_lerf", "aopc_morf")}
@@ -258,4 +258,5 @@ def evaluate_model(params: ParamSet, dataset, protocol: EvalProtocol, seed: int 
         protocol=asdict(protocol),
         seed=seed,
         n_samples=n,
+        curves=curves,
     )

@@ -33,6 +33,25 @@ def kept_bytes(build):
         tracemalloc.stop()
 
 
+def flip_every_bit(data: bytes, load, typed_error):
+    """Call ``load`` on ``data`` with each of its bits flipped in turn.
+
+    Each call must return or raise ``typed_error``; any other exception
+    fails with the bit's index. Returns one outcome per bit: the loaded
+    value, or the typed error raised."""
+    outcomes = []
+    for bit in range(8 * len(data)):
+        flipped = bytearray(data)
+        flipped[bit // 8] ^= 1 << (bit % 8)
+        try:
+            outcomes.append(load(bytes(flipped)))
+        except typed_error as exc:
+            outcomes.append(exc)
+        except Exception as exc:
+            raise AssertionError(f"bit {bit} (byte {bit // 8}) escaped as {exc!r}") from exc
+    return outcomes
+
+
 def linear_model(w, b=None, input_shape=None):
     """MLP with no hidden layer: scores = flatten(x) @ w + b."""
     w = np.asarray(w, dtype=np.float64)

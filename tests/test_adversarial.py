@@ -185,10 +185,19 @@ class TestSearchContracts:
         for bad, message in ((good * 1.5, "sums to"), (-good, "negative"), (good[:1], "mismatch")):
             with pytest.raises(ValueError, match=message):
                 perturb_batch(params, x, cfg, masks, seeds.stream(0, seeds.PGD), p_clean=bad)
-        given = perturb_batch(params, x, cfg, masks, seeds.stream(0, seeds.PGD), p_clean=good)
-        computed = perturb_batch(params, x, cfg, masks, seeds.stream(0, seeds.PGD))
-        for a, b in zip(given, computed):
-            np.testing.assert_array_equal(a, b)
+
+    @pytest.mark.parametrize("search, variant", [(pgd_masked, "pgd"), (fgsm_masked, "fgsm")], ids=["pgd", "fgsm"])
+    def test_single_passes_the_computed_p_clean(self, search, variant, rng):
+        # the one-sample searches predict p_clean themselves; the result is
+        # the batch search's with p_clean computed from the search's forward
+        params = tiny_model(seed=3)
+        x = rng.uniform(0, 1, (1, 2, 2))
+        cfg = AdvConfig(epsilon=0.1, k=2, variant=variant)
+        given = search(params, x, 0, cfg, np.arange(4), rng=5)
+        computed = softmax(forward_eval(params.frozen(), x[None])).data
+        want = perturb_batch(params, x[None], cfg, np.ones((1, 4), bool), seeds.stream(5, seeds.PGD), p_clean=computed)
+        for a, b in zip((given.delta, given.objective, given.adv_proba), want):
+            np.testing.assert_array_equal(a, b[0])
 
     @pytest.mark.parametrize(
         "spec, cfg",
@@ -207,7 +216,7 @@ class TestSearchContracts:
         masks = np.ones((8, spec.input_shape[1] * spec.input_shape[2]), dtype=bool)
 
         def obj(k):
-            return perturb_batch(params, x, AdvConfig(k=k, **cfg), masks, seeds.stream(7, seeds.PGD))[1]
+            return perturb_batch(params, x, AdvConfig(k=k, **cfg), masks, seeds.stream(7, seeds.PGD), predict_proba(params, x))[1]
 
         full = obj(5)
         for j in range(1, 5):
@@ -237,7 +246,8 @@ class TestSearchContracts:
 
 def two_branch_search(params, x, cfg, masks, rng, p_clean=None):
     """The search as it stood with a separate FGSM branch beside the PGD
-    loop, kept as the bitwise oracle for the single loop."""
+    loop, kept as the bitwise oracle for the single loop; it computes
+    ``p_clean`` from its own forward when not given."""
     frozen = params.frozen()
     n, c, h, w = x.shape
     mask_pix = masks.reshape(n, 1, h, w)
@@ -308,9 +318,9 @@ class TestSingleLoop:
                 t.data[...] = 0.0
         x = rng.uniform(0, 1, (5, *spec.input_shape))
         masks = rng.uniform(size=(5, spec.input_shape[1] * spec.input_shape[2])) < 0.6
-        p_clean = np.stack([random_simplex(rng, spec.n_classes) for _ in range(5)]) if foreign_p else None
+        p_clean = np.stack([random_simplex(rng, spec.n_classes) for _ in range(5)]) if foreign_p else predict_proba(params, x)
         got = perturb_batch(params, x, cfg, masks, seeds.stream(11, seeds.PGD), p_clean=p_clean)
-        want = two_branch_search(params, x, cfg, masks, seeds.stream(11, seeds.PGD), p_clean=p_clean)
+        want = two_branch_search(params, x, cfg, masks, seeds.stream(11, seeds.PGD), p_clean=p_clean if foreign_p else None)
         for a, b in zip(got, want):
             np.testing.assert_array_equal(a, b)
             assert np.array_equal(np.signbit(a), np.signbit(b))
@@ -327,7 +337,7 @@ class TestSingleLoop:
         masks = rng.uniform(size=(6, spec.input_shape[1] * spec.input_shape[2])) < 0.5
         cfg = AdvConfig(epsilon=0.1, k=3, variant=variant)
         p_train = softmax_np(batch_gsmap_scores(params, x, y)[1], axis=-1)
-        for p_clean in (None, p_train):
+        for p_clean in (predict_proba(params, x), p_train):
             delta, obj, _ = perturb_batch(params, x, cfg, masks, seeds.stream(2, seeds.PGD), p_clean=p_clean)
             loss_js = js_bits(softmax(forward_eval(params, x + delta)), softmax(forward_eval(params, x))).data
             np.testing.assert_array_equal(obj, loss_js)

@@ -1,10 +1,12 @@
 import os
+import struct
 from collections import OrderedDict
 
 import numpy as np
 import pytest
 
 from scaat.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
+from conftest import flip_every_bit
 
 
 def test_round_trip(tmp_path, rng):
@@ -72,6 +74,35 @@ def test_every_cut_point_loads_a_prefix_or_raises(tmp_path, rng):
         except CheckpointError:
             continue
         assert list(loaded) == list(tensors)[: len(loaded)], cut
+
+
+# a flipped exponent bit can make a float32 signalling NaN, which numpy
+# warns about when it widens the value to float64
+@pytest.mark.filterwarnings("ignore:invalid value encountered in cast:RuntimeWarning")
+def test_every_bit_flip_loads_or_raises(tmp_path):
+    # 523 bytes, among whose flips are a rank of 68 (past numpy's limit)
+    # and fc.b extents whose product wraps to 0 in int64
+    rng = np.random.default_rng(0)
+    tensors = OrderedDict([("conv1.w", rng.standard_normal((4, 3, 3, 3))), ("fc.b", rng.standard_normal(10))])
+    path = tmp_path / "m.sct"
+    save_checkpoint(tensors, path)
+
+    def load(blob):
+        path.write_bytes(blob)
+        return load_checkpoint(path)
+
+    outcomes = flip_every_bit(path.read_bytes(), load, CheckpointError)
+    assert len(outcomes) == 8 * 523
+    assert any(isinstance(o, CheckpointError) and "rank 68" in str(o) for o in outcomes)
+
+
+def test_zero_extent_beside_huge_extents(tmp_path):
+    # holds no values, but numpy rejects the shape: its nonzero extents'
+    # product overflows the address space
+    path = tmp_path / "m.sct"
+    path.write_bytes(b"SCT1" + struct.pack("<I", 1) + b"w" + struct.pack("<5I", 4, 0, *[0xFFFFFFFF] * 3))
+    with pytest.raises(CheckpointError, match="address space"):
+        load_checkpoint(path)
 
 
 def test_failed_replace_keeps_old_file(tmp_path, rng, monkeypatch):

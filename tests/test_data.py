@@ -15,6 +15,7 @@ from scaat.data import (
     load_idx,
     parse_synthetic_spec,
 )
+from conftest import flip_every_bit
 
 
 def write_idx_pair(tmp_path, images, labels, magic_img=0x803, magic_lbl=0x801):
@@ -74,6 +75,37 @@ class TestIdx:
         with pytest.raises(LabelRangeError):
             load_idx(img_path, n_classes=2)
 
+    @pytest.mark.parametrize("which", ["images", "labels"])
+    def test_every_bit_flip_loads_or_raises(self, tmp_path, rng, which):
+        # every header flip (magic, count, rows, cols) is caught: a smaller
+        # extent leaves trailing bytes, a larger one truncates the data,
+        # and rows or cols can flip to 0
+        img_path, lbl_path = write_idx_pair(tmp_path, rng.integers(0, 256, (5, 4, 4), dtype=np.uint8), [0, 1, 2, 1, 0])
+        path = img_path if which == "images" else lbl_path
+        header = 16 if which == "images" else 8
+
+        def load(blob):
+            path.write_bytes(blob)
+            return load_idx(img_path, n_classes=3)
+
+        outcomes = flip_every_bit(path.read_bytes(), load, DataFormatError)
+        assert all(isinstance(o, DataFormatError) for o in outcomes[: 8 * header])
+        if which == "images":
+            assert all(isinstance(o, Dataset) for o in outcomes[8 * header :])
+            # bit 2 of the rows (byte 11) and cols (byte 15) extents 4
+            for bit, field in ((8 * 11 + 2, "rows"), (8 * 15 + 2, "cols")):
+                assert f"{field} is 0" in str(outcomes[bit])
+        else:
+            assert all(isinstance(o, (Dataset, LabelRangeError)) for o in outcomes[8 * header :])
+
+    @pytest.mark.parametrize("which", ["images", "labels"])
+    def test_trailing_byte(self, tmp_path, which):
+        img_path, lbl_path = write_idx_pair(tmp_path, np.zeros((2, 3, 3), dtype=np.uint8), [0, 1])
+        path = img_path if which == "images" else lbl_path
+        path.write_bytes(path.read_bytes() + b"\x00")
+        with pytest.raises(DataFormatError, match=f"idx {which[:-1]} data: 1 trailing bytes"):
+            load_idx(img_path, n_classes=2)
+
 
 class TestCifarBinary:
     def make_batch(self, tmp_path, n=4, bad_label=None):
@@ -105,6 +137,20 @@ class TestCifarBinary:
         with pytest.raises(LabelRangeError):
             load_cifar_binary(path)
 
+    def test_every_bit_flip_loads_or_raises(self, tmp_path):
+        # the label byte and the first 63 pixel bytes of a one-record batch
+        path, rec = self.make_batch(tmp_path, n=1)
+        head, rest = rec.tobytes()[:64], rec.tobytes()[64:]
+
+        def load(blob):
+            path.write_bytes(blob + rest)
+            return load_cifar_binary(path)
+
+        outcomes = flip_every_bit(head, load, DataFormatError)
+        labels = [o.labels[0] if isinstance(o, Dataset) else None for o in outcomes[:8]]
+        assert labels == [rec[0, 0] ^ (1 << b) if rec[0, 0] ^ (1 << b) < 10 else None for b in range(8)]
+        assert all(isinstance(o, Dataset) for o in outcomes[8:])
+
 
 class TestSynthetic:
     def test_spec_parsing(self):
@@ -129,12 +175,26 @@ class TestSynthetic:
     @pytest.mark.parametrize(
         "entry, key",
         [("ratios=1.5", "'ratios'"), ("ratios=-0.5", "'ratios'"), ("ratios=0.25:0.999", "'ratios'"),
-         ("n=-1", "'n'"), ("size=0", "'size'"), ("classes=0", "'classes'"), ("channels=0", "'channels'")],
+         ("n=-1", "'n'"), ("size=0", "'size'"), ("classes=0", "'classes'"), ("channels=0", "'channels'"),
+         ("amp=-0.01", "'amp'"), ("amp=nan", "'amp'"), ("noise=-0.01", "'noise'"), ("noise=0.51", "'noise'"),
+         ("spurious=-0.01", "'spurious'"), ("spurious=1.01", "'spurious'")],
     )
     def test_spec_rejects_out_of_range(self, entry, key):
         # 0.999 rounds to all 64 pixels of an 8x8 image: an empty patch
         with pytest.raises(DataFormatError, match=f"synthetic spec key {key}: must be"):
             load_dataset(f"half-informative,n=4,size=8,{entry}", "synthetic-spec")
+
+    @pytest.mark.parametrize("key, value", [("ratios", (1.5,)), ("ratios", ()), ("n", -1), ("noise", 0.7)])
+    def test_generator_rejects_out_of_range(self, key, value):
+        with pytest.raises(DataFormatError, match=f"synthetic spec key '{key}': must be"):
+            generate_half_informative(**{"n": 4, "size": 8, key: value})
+
+    @pytest.mark.parametrize("key, value", [("amp", 0.0), ("amp", 1e6), ("noise", 0.0), ("noise", 0.5),
+                                            ("spurious", 0.0), ("spurious", 1.0)])
+    def test_range_edges_keep_pixels_in_unit_interval(self, key, value):
+        # amp 1e6 is capped at 0.5 - noise; Dataset rejects pixels outside [0, 1]
+        ds = generate_half_informative(n=40, size=8, ratios=(0.0, 0.75), **{key: value})
+        assert ds.images.min() >= 0.0 and ds.images.max() <= 1.0
 
     def test_spec_gives_generator_arguments(self):
         opts = parse_synthetic_spec("half-informative,n=12,size=8,task=3,spurious=0.2")

@@ -205,8 +205,20 @@ class TestPerturbationCurve:
             perturbation_curve(params, np.ones((1, 8, 8)), smap_of(np.abs(w0)), "lerf", **{"region": 2, **kwargs})
 
 
-GATE = dict(steps=20, fraction=0.2, repeats=5, region=4)   # counts repeat: 13 distinct of 20
+GATE = dict(steps=20, fraction=0.2, repeats=5, region=4)   # counts 0..12 repeat: 12 perturbed rows of 20
 NO_REPEAT = dict(steps=8, fraction=0.5, repeats=3, region=4)  # counts 4, 8, ..., 32
+
+
+def count_predicted_rows(monkeypatch) -> list:
+    """Record the rows of each ``predict_proba`` call that metrics makes."""
+    scored = []
+
+    def counting(p, batch):
+        scored.append(1 if batch.ndim == 3 else batch.shape[0])
+        return predict_proba(p, batch)
+
+    monkeypatch.setattr(metrics, "predict_proba", counting)
+    return scored
 
 
 def oracle_curve(params, x, smap, order, steps, fraction, repeats, region, rng):
@@ -248,19 +260,26 @@ class TestCurveAgainstOracle:
         np.testing.assert_allclose(got.values, want, rtol=0, atol=1e-15)
         assert rng_a.random() == rng_b.random()
 
-    @pytest.mark.parametrize("protocol, rows", [(GATE, 1 + 5 * 13), (NO_REPEAT, 1 + 3 * 8)], ids=["gate", "no-repeat"])
+    @pytest.mark.parametrize("protocol, rows", [(GATE, 1 + 5 * 12), (NO_REPEAT, 1 + 3 * 8)], ids=["gate", "no-repeat"])
     def test_scores_each_distinct_image_once(self, setup, monkeypatch, protocol, rows):
         params, x, smap = setup
-        scored = []
-
-        def counting(p, batch):
-            scored.append(1 if batch.ndim == 3 else batch.shape[0])
-            return predict_proba(p, batch)
-
-        monkeypatch.setattr(metrics, "predict_proba", counting)
+        scored = count_predicted_rows(monkeypatch)
         perturbation_curve(params, x, smap, "lerf", rng=0, **protocol)
         assert sum(scored) == rows
         assert len(scored) == 1 + protocol["repeats"]
+
+    def test_steps_perturbing_nothing_run_no_forward(self, setup, monkeypatch):
+        # 0.01 of 64 tiles over 4 steps: counts 0, 0, 0, 0
+        params, x, smap = setup
+        p_clean = predict_proba(params, x)
+        scored = count_predicted_rows(monkeypatch)
+        kwargs = dict(steps=4, fraction=0.01, repeats=3, region=4, rng=0)
+        given = perturbation_curve(params, x, smap, "morf", p_clean=p_clean, **kwargs)
+        assert scored == []
+        computed = perturbation_curve(params, x, smap, "morf", **kwargs)
+        assert scored == [1]
+        for curve in (given, computed):
+            np.testing.assert_array_equal(curve.values, np.zeros(4))
 
 
 class TestEvaluateModel:
@@ -280,6 +299,24 @@ class TestEvaluateModel:
             report.aggregates["aopc_morf"] / report.aggregates["aopc_lerf"], rel=1e-12
         )
         assert report.n_samples == 12
+
+    def test_one_prediction_per_sample(self, monkeypatch):
+        # counts 0, 1, 2, 3, 4, 4, 5, 6 over 16 tiles: 6 perturbed rows per repeat
+        params, data = self.make_setup()
+        protocol = EvalProtocol(steps=8, fraction=0.4, repeats=3, region=2)
+        scored = count_predicted_rows(monkeypatch)
+        report = evaluate_model(params, data, protocol, seed=4)
+        assert sum(scored) == len(data) * (1 + 2 * 3 * 6)
+        assert len(scored) == len(data) * (1 + 2 * 3)
+        for curve in report.curves.values():
+            assert curve.shape == (len(data), 8)
+            np.testing.assert_array_equal(curve[:, 0], 0.0)
+
+    def test_correct_is_the_batch_one_prediction(self):
+        params, data = self.make_setup()
+        report = evaluate_model(params, data, EvalProtocol(steps=3, fraction=0.3, repeats=1, region=2), seed=0)
+        preds = [predict_proba(params, x).argmax() for x in data.images]
+        np.testing.assert_array_equal(report.per_sample["correct"], np.equal(preds, data.labels))
 
     def test_limit_rows_equal_full_run_prefix(self):
         # per-sample randomness is keyed by (seed, sample index)

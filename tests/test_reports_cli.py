@@ -1,9 +1,12 @@
 import json
 import os
+from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from scaat.adversarial import AdvConfig
+from scaat.checkpoint import load_checkpoint
 from scaat.cli import run_cli
 from scaat.config import (
     ConfigError,
@@ -16,7 +19,7 @@ from scaat.config import (
 )
 from scaat.data import generate_half_informative
 from scaat.metrics import EvalProtocol, evaluate_model
-from scaat.models import ModelSpec, init_model
+from scaat.models import ModelSpec, ParamSet, init_model
 from scaat.reports import export_report, load_report_json
 from scaat.training import TrainConfig
 
@@ -243,7 +246,7 @@ class TestCli:
         assert all(rec["L_adv"] == 0.0 for rec in log)
 
     def test_evaluate_and_saliency_and_curves(self, tmp_path, capsys):
-        _, cfg_path = self.write_config(tmp_path)
+        cfg, cfg_path = self.write_config(tmp_path)
         assert run_cli(["train", "--config", str(cfg_path)]) == 0
         ckpt = str(tmp_path / "out" / "checkpoint.sct")
 
@@ -258,10 +261,17 @@ class TestCli:
         assert (tmp_path / "out" / "saliency_00002_vanilla.csv").exists()
 
         assert run_cli(["curves", "--config", str(cfg_path), "--ckpt", ckpt, "--limit", "4"]) == 0
+        params = ParamSet.from_arrays(cfg.model, load_checkpoint(ckpt))
+        report = evaluate_model(params, cfg.data.load_split("test"), replace(cfg.protocol, limit=4), seed=cfg.seed)
         for order in ("lerf", "morf"):
             lines = (tmp_path / "out" / f"curves_{order}.csv").read_text().splitlines()
             assert lines[0] == "step,mean_decay,std"
             assert len(lines) == 5  # header + 4 steps
+            rows = np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
+            values = report.curves[order]
+            assert values.shape == (4, 4)
+            np.testing.assert_array_equal(rows[:, 1], values.mean(axis=0))
+            np.testing.assert_array_equal(rows[:, 2], values.std(axis=0))
 
     def test_compare(self, tmp_path, capsys):
         _, cfg_path = self.write_config(tmp_path)
