@@ -4,8 +4,8 @@ A small numpy-backed engine: each operation records its parents and a
 backward closure, ``backward()`` walks the graph once in reverse
 topological order. The primitive set is only what the image classifiers
 need: add, mul, matmul, conv2d, relu, max_pool2d, reshape, sum, mean,
-softmax, log, and conv2d_bias_relu, the CNN's conv + bias + ReLU as
-one node.
+softmax, log, and conv2d_bias_relu_pool, the CNN's conv + bias + ReLU +
+max-pool as one node.
 
 All values are float64. Gradients are only computed for branches that
 lead to a leaf with ``requires_grad=True``; constant subtrees cost
@@ -356,47 +356,42 @@ def _kernel_matrix(w: np.ndarray) -> np.ndarray:
 
 
 def _conv2d_forward(x: np.ndarray, w: np.ndarray, stride: int, padding: int):
+    """The conv output channel-major, (F, N, Ho, Wo), and the unfold."""
     n = x.shape[0]
     f, _, kh, kw = w.shape
     cols, ho, wo = _unfold(x, kh, kw, stride, padding)
-    out2 = _kernel_matrix(w) @ cols
-    out = np.ascontiguousarray(out2.reshape(f, n, ho, wo).transpose(1, 0, 2, 3))
-    return out, cols
+    return (_kernel_matrix(w) @ cols).reshape(f, n, ho, wo), cols
 
 
-def _conv2d_weight_grad(g: np.ndarray, cols: np.ndarray, w_shape) -> np.ndarray:
-    f, c, kh, kw = w_shape
-    gm = np.ascontiguousarray(g.transpose(1, 0, 2, 3)).reshape(f, -1)
-    dwm = gm @ cols.T
-    return np.ascontiguousarray(dwm.reshape(f, kh, kw, c).transpose(0, 3, 1, 2))
+def _nchw(x: np.ndarray) -> np.ndarray:
+    """A contiguous copy with the first two axes swapped: (F, N, ...) to
+    (N, F, ...) and back."""
+    return np.ascontiguousarray(x.swapaxes(0, 1))
 
 
-def _conv2d_input_grad(
-    g: np.ndarray, w: np.ndarray, x_shape, stride: int, padding: int
-) -> np.ndarray:
-    """Gradient wrt the conv input: per kernel offset, one transposed
-    GEMM scatter-added into the padded input buffer."""
-    n, c, h, wd = x_shape
-    f, _, kh, kw = w.shape
-    ho, wo = g.shape[2], g.shape[3]
-    gm = np.ascontiguousarray(g.transpose(1, 0, 2, 3)).reshape(f, n * ho * wo)
-    dxq = np.zeros((c, n, h + 2 * padding, wd + 2 * padding))
-    for dy in range(kh):
-        for dx in range(kw):
-            wk = np.ascontiguousarray(w[:, :, dy, dx])
-            contrib = (wk.T @ gm).reshape(c, n, ho, wo)
-            dxq[:, :, dy : dy + (ho - 1) * stride + 1 : stride,
-                dx : dx + (wo - 1) * stride + 1 : stride] += contrib
-    if padding:
-        dxq = dxq[:, :, padding : padding + h, padding : padding + wd]
-    return np.ascontiguousarray(dxq.transpose(1, 0, 2, 3))
-
-
-def _conv2d_backward(g, a: Tensor, w: Tensor, cols, stride: int, padding: int) -> None:
+def _conv2d_backward(gm: np.ndarray, a: Tensor, w: Tensor, cols, stride: int, padding: int) -> None:
+    """Both conv gradients from the channel-major output gradient ``gm``,
+    (F, N, Ho, Wo) and contiguous."""
+    f, c, kh, kw = w.data.shape
+    n, _, h, wd = a.data.shape
+    _, _, ho, wo = gm.shape
+    gm = gm.reshape(f, n * ho * wo)
     if w.requires_grad:
-        w._accum(_conv2d_weight_grad(g, cols, w.data.shape))
+        dwm = gm @ cols.T
+        w._accum(np.ascontiguousarray(dwm.reshape(f, kh, kw, c).transpose(0, 3, 1, 2)))
     if a.requires_grad:
-        a._accum(_conv2d_input_grad(g, w.data, a.data.shape, stride, padding))
+        # per kernel offset, one transposed GEMM scatter-added into the
+        # padded input buffer
+        dxq = np.zeros((c, n, h + 2 * padding, wd + 2 * padding))
+        for dy in range(kh):
+            for dx in range(kw):
+                wk = np.ascontiguousarray(w.data[:, :, dy, dx])
+                contrib = (wk.T @ gm).reshape(c, n, ho, wo)
+                dxq[:, :, dy : dy + (ho - 1) * stride + 1 : stride,
+                    dx : dx + (wo - 1) * stride + 1 : stride] += contrib
+        if padding:
+            dxq = dxq[:, :, padding : padding + h, padding : padding + wd]
+        a._accum(_nchw(dxq))
 
 
 def conv2d(a: Tensor, w: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
@@ -405,31 +400,9 @@ def conv2d(a: Tensor, w: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
     cols = cols if w.requires_grad else None  # only dW reads the unfold
 
     def bwd(g):
-        _conv2d_backward(g, a, w, cols, stride, padding)
+        _conv2d_backward(_nchw(g), a, w, cols, stride, padding)
 
-    return _make(out, (a, w), bwd)
-
-
-def conv2d_bias_relu(a: Tensor, w: Tensor, b: Tensor, padding: int = 0) -> Tensor:
-    """``relu(conv2d(a, w, padding=padding) + b[None, :, None, None])`` as
-    one node, bit for bit: the bias and the ReLU are applied in place on
-    the fresh conv output, so the graph keeps one activation instead of
-    three."""
-    out, cols = _conv2d_forward(a.data, w.data, 1, padding)
-    cols = cols if w.requires_grad else None
-    out += b.data.reshape(1, -1, 1, 1)
-    np.maximum(out, 0.0, out=out)
-
-    def bwd(g):
-        # out > 0 exactly where the pre-activation is > 0 (NaN fails both)
-        g = g * (out > 0.0)
-        if b.requires_grad:
-            # as add's backward: a (1, F, 1, 1) g is passed on unsummed,
-            # which keeps a lone -0.0
-            b._accum(_unbroadcast(g, (1, g.shape[1], 1, 1)).reshape(b.data.shape))
-        _conv2d_backward(g, a, w, cols, 1, padding)
-
-    return _make(out, (a, w, b), bwd)
+    return _make(_nchw(out), (a, w), bwd)
 
 
 def _pool_views(x: np.ndarray, k: int):
@@ -438,39 +411,99 @@ def _pool_views(x: np.ndarray, k: int):
     return [x[:, :, dy::k, dx::k] for dy in range(k) for dx in range(k)]
 
 
-def max_pool2d(a: Tensor, k: int) -> Tensor:
-    """Non-overlapping k x k max pooling; ties route to the first maximum
-    in row-major window order, and a window holding a NaN pools to NaN."""
-    n, c, h, w = a.data.shape
+def _pool_max(x: np.ndarray, k: int) -> np.ndarray:
+    """Non-overlapping k x k max over the last two axes of a 4-D array."""
+    h, w = x.shape[2:]
     if h % k or w % k:
         raise ValueError(f"pool size {k} must divide spatial extents {(h, w)}")
-    views = _pool_views(a.data, k)
+    views = _pool_views(x, k)
     out = views[0].copy()
     for v in views[1:]:
         # np.maximum returns its second operand on ties, so the running
         # maximum keeps the earliest of equal values (signed zeros too)
         np.maximum(v, out, out=out)
+    return out
+
+
+def _route_first_max(
+    x: np.ndarray, out: np.ndarray, g: np.ndarray, k: int, dx: np.ndarray, relu: bool = False
+) -> np.ndarray:
+    """Write the gradient of ``out = _pool_max(x, k)`` for upstream ``g``
+    into ``dx``, an array of x's shape that may be x itself, and return it.
+
+    Each window's gradient goes to the first view equal to its maximum (in
+    a NaN window, to its first NaN). With ``relu``, ``out`` is that maximum
+    clamped at 0, and a window clamped to 0 routes to its first slot, as
+    the all-zero tie of its ReLU'd values would. The views tile dx, and
+    each is written after its last read of x: g's bit pattern where hit,
+    all-zero bits (+0.0) elsewhere. This select is exact for every g,
+    where g * hit would give -0.0 for a negative g and NaN for an
+    infinite one.
+    """
+    g_bits = g.view(np.int64)
+    has_nan = bool(np.isnan(out).any())
+    views, dviews = _pool_views(x, k), _pool_views(dx.view(np.int64), k)
+    free = np.ones(out.shape, dtype=bool)  # windows not yet routed
+    for i, (v, dv) in enumerate(zip(views[:-1], dviews[:-1])):
+        hit = v == out
+        if relu and i == 0:
+            hit |= out == 0.0
+        if has_nan:
+            hit |= np.isnan(v)
+        hit &= free
+        free ^= hit
+        np.bitwise_and(g_bits, -hit.view(np.int8), out=dv)
+    # every window holds its maximum (or a NaN), so the windows still free
+    # route to the last view
+    np.bitwise_and(g_bits, -free.view(np.int8), out=dviews[-1])
+    return dx
+
+
+def max_pool2d(a: Tensor, k: int) -> Tensor:
+    """Non-overlapping k x k max pooling; ties route to the first maximum
+    in row-major window order, and a window holding a NaN pools to NaN."""
+    out = _pool_max(a.data, k)
 
     def bwd(g):
-        # Route each window's gradient to the first view equal to its
-        # maximum (in a NaN window, to its first NaN). The views tile dx, so
-        # each slot is written once: g's bit pattern where hit, all-zero
-        # bits (+0.0) elsewhere. This select is exact for every g, where
-        # g * hit would give -0.0 for a negative g and NaN for an infinite one.
-        dx = np.empty((n, c, h, w))
-        g_bits = g.view(np.int64)
-        has_nan = bool(np.isnan(out).any())
-        free = np.ones(out.shape, dtype=bool)  # windows not yet routed
-        for v, dv in zip(views, _pool_views(dx.view(np.int64), k)):
-            hit = v == out
-            if has_nan:
-                hit |= np.isnan(v)
-            hit &= free
-            free ^= hit
-            np.bitwise_and(g_bits, -hit.view(np.int8), out=dv)
-        a._accum(dx)
+        a._accum(_route_first_max(a.data, out, g, k, np.empty(a.data.shape)))
 
     return _make(out, (a,), bwd)
+
+
+def conv2d_bias_relu_pool(a: Tensor, w: Tensor, b: Tensor, padding: int = 0, k: int = 2) -> Tensor:
+    """``max_pool2d(relu(conv2d(a, w, padding=padding) + b[None, :, None,
+    None]), k)`` as one node, bit for bit.
+
+    The full-size pre-activation stays channel-major, (F, N, H, W), as the
+    GEMM writes it, and the bias is added in place. The max commutes with
+    the ReLU, so the ReLU clamps the pooled output, k*k times smaller,
+    which alone is transposed to NCHW. The graph keeps the pre-activation
+    and the pooled output; the backward routes its gradient into the
+    pre-activation's buffer, which it reads for the last time.
+    """
+    act, cols = _conv2d_forward(a.data, w.data, 1, padding)
+    cols = cols if w.requires_grad else None  # only dW reads the unfold
+    act += b.data.reshape(-1, 1, 1, 1)
+    pooled = _pool_max(act, k)
+    np.maximum(pooled, 0.0, out=pooled)
+    out = _nchw(pooled)
+
+    def bwd(g):
+        # A routed slot holds its window's maximum, so its ReLU passes
+        # gradient exactly where the pooled value is > 0 (NaN fails both);
+        # masking g at pooled size gives the same bits as masking the
+        # routed gradient, whose other slots stay +0.0 either way.
+        out_cm = out.swapaxes(0, 1)
+        gm = _route_first_max(act, out_cm, g.swapaxes(0, 1) * (out_cm > 0.0), k, act, relu=True)
+        if b.requires_grad:
+            # numpy's multi-axis sum order follows the layout, so the bias
+            # sums an NCHW copy, as add's backward would; a (1, F, 1, 1) g
+            # is passed on unsummed, which keeps a lone -0.0
+            g_b = _unbroadcast(_nchw(gm), (1, gm.shape[0], 1, 1))
+            b._accum(g_b.reshape(b.data.shape))
+        _conv2d_backward(gm, a, w, cols, 1, padding)
+
+    return _make(out, (a, w, b), bwd)
 
 
 # -- composite losses ------------------------------------------------------

@@ -3,7 +3,8 @@
 Layout (all little-endian): the 4-byte magic ``SCT1``, then one record
 per tensor: uint32 name length, UTF-8 name bytes, uint32 rank, uint32
 extents, then the raw float32 values in row-major order. Records run to
-end of file; tensor order is preserved.
+end of file; tensor order is preserved. Every stored value must be
+finite.
 """
 
 from __future__ import annotations
@@ -70,5 +71,8 @@ def load_checkpoint(path) -> "OrderedDict[str, np.ndarray]":
             raise CheckpointError(f"truncated checkpoint record near byte {pos}: {exc}") from exc
         except UnicodeDecodeError as exc:
             raise CheckpointError(f"tensor name near byte {pos} is not UTF-8: {exc}") from exc
+        # checked before widening, where a signalling NaN would warn
+        if not np.isfinite(arr).all():
+            raise CheckpointError(f"tensor {name!r} holds non-finite values")
         out[name] = arr.astype(np.float64)
     return out

@@ -221,3 +221,7 @@ def run_cli(argv=None) -> int:
 
 def main(argv=None) -> None:
     raise SystemExit(run_cli(argv))
+
+
+if __name__ == "__main__":
+    main()

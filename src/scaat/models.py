@@ -15,7 +15,7 @@ from itertools import zip_longest
 import numpy as np
 
 from . import seeds
-from .autodiff import Tensor, conv2d_bias_relu, matmul, max_pool2d, relu, reshape, softmax_np
+from .autodiff import Tensor, conv2d_bias_relu_pool, matmul, relu, reshape, softmax_np
 
 ARCHS = ("mlp", "cnn")
 
@@ -183,10 +183,8 @@ def forward_eval(params: ParamSet, x) -> Tensor:
             if i < n_layers - 1:
                 h = relu(h)
     else:
-        h = conv2d_bias_relu(h, params["conv1.w"], params["conv1.b"], padding=1)
-        h = max_pool2d(h, 2)
-        h = conv2d_bias_relu(h, params["conv2.w"], params["conv2.b"], padding=1)
-        h = max_pool2d(h, 2)
+        h = conv2d_bias_relu_pool(h, params["conv1.w"], params["conv1.b"], padding=1)
+        h = conv2d_bias_relu_pool(h, params["conv2.w"], params["conv2.b"], padding=1)
         h = reshape(h, (batched.shape[0], -1))
         h = matmul(h, params["fc.w"]) + params["fc.b"]
 

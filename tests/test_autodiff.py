@@ -7,7 +7,7 @@ from scaat.autodiff import (
     Tensor,
     backward_grad,
     conv2d,
-    conv2d_bias_relu,
+    conv2d_bias_relu_pool,
     cross_entropy,
     cross_entropy_rows,
     matmul,
@@ -108,43 +108,49 @@ class TestPrimitiveGradients:
         check_op(lambda t: max_pool2d(t, 2), (2, 3, 6, 6), rng, trials=3)
 
 
+def unfused_conv_block(a, w, b, padding, k):
+    """The oracle for conv2d_bias_relu_pool: conv, bias add, ReLU and
+    max-pool as four nodes."""
+    return max_pool2d(relu(conv2d(a, w, padding=padding) + reshape(b, (1, -1, 1, 1))), k)
+
+
 class TestConvBiasRelu:
+    """conv2d_bias_relu_pool, the CNN's conv + bias + ReLU + max-pool node."""
+
     def test_gradients_match_finite_differences(self, rng):
-        x = rng.standard_normal((2, 2, 5, 5))
+        x = rng.standard_normal((2, 2, 6, 6))
         w = rng.standard_normal((3, 2, 3, 3))
         b = rng.standard_normal(3)
-        op = lambda a, k, c: conv2d_bias_relu(a, k, c, padding=1)  # noqa: E731
+        op = lambda a, k, c: conv2d_bias_relu_pool(a, k, c, padding=1)  # noqa: E731
         check_op(lambda t: op(t, Tensor(w), Tensor(b)), x.shape, rng, trials=3)
         check_op(lambda t: op(Tensor(x), t, Tensor(b)), w.shape, rng, trials=3)
         check_op(lambda t: op(Tensor(x), Tensor(w), t), b.shape, rng, trials=3)
 
     def test_matches_unfused_composition_bitwise(self, rng):
-        # ties at 0 and -0.0, NaN inputs and a non-finite, signed-zero
-        # upstream gradient: value and all three gradients must carry
-        # the same bits as relu(conv2d(a, w) + b)
+        # ties at 0 and -0.0 (within pool windows too), NaN windows and a
+        # non-finite, signed-zero upstream gradient: value and all three
+        # gradients must carry the same bits as the four-node composition
         def pick(values, shape, p_normal=0.5):
             arr = rng.choice(values, size=shape)
             return np.where(rng.random(shape) < p_normal, rng.standard_normal(shape), arr)
 
         for case in range(40):
-            n, c, f, side = rng.integers(1, 4), rng.integers(1, 4), rng.integers(1, 5), rng.integers(2, 7)
-            padding = int(rng.integers(0, 2))
+            n, c, f = rng.integers(1, 4), rng.integers(1, 4), rng.integers(1, 5)
+            padding, k = int(rng.integers(0, 2)), int(rng.integers(2, 4))
+            side = k * int(rng.integers(1, 4))  # the conv output's extent
             nan = [np.nan] if case % 2 else []
-            x = pick([0.0, -0.0, 1.0, -1.0] + nan, (n, c, side, side))
+            x = pick([0.0, -0.0, 1.0, -1.0] + nan, (n, c, side + 2 - 2 * padding, side + 2 - 2 * padding))
             w = pick([0.0, -0.0, 0.5, -0.5], (f, c, 3, 3))
             b = pick([0.0, -0.0] + nan, (f,))
             wants = [bool(v) for v in rng.integers(0, 2, 3)]
             wants[case % 3] = True
-            out_shape = (n, f, side + 2 * padding - 2, side + 2 * padding - 2)
-            g = pick([0.0, -0.0, np.inf, -np.inf, np.nan], out_shape)
+            g = pick([0.0, -0.0, np.inf, -np.inf, np.nan], (n, f, side // k, side // k))
 
             results = []
             for fused in (True, False):
                 a_t, w_t, b_t = (Tensor(v, requires_grad=r) for v, r in zip((x, w, b), wants))
-                if fused:
-                    out = conv2d_bias_relu(a_t, w_t, b_t, padding=padding)
-                else:
-                    out = relu(conv2d(a_t, w_t, padding=padding) + reshape(b_t, (1, -1, 1, 1)))
+                block = conv2d_bias_relu_pool if fused else unfused_conv_block
+                out = block(a_t, w_t, b_t, padding, k)
                 with np.errstate(invalid="ignore"):
                     tsum(mul(out, Tensor(g))).backward()
                 results.append([out.data] + [t.grad for t in (a_t, w_t, b_t)])
@@ -158,19 +164,27 @@ class TestConvBiasRelu:
     @pytest.mark.parametrize("fused", [False, True])
     def test_unfold_kept_only_for_dw(self, rng, fused):
         # only dW reads the unfold, so a node whose weights are frozen
-        # keeps its output alone
+        # keeps its activations alone: the conv output, and for the fused
+        # node its pooled output too
         x = Tensor(rng.standard_normal((4, 3, 16, 16)), requires_grad=True)
-        out_bytes, cols_bytes = 4 * 8 * 16 * 16 * 8, 27 * 4 * 16 * 16 * 8
+        act_bytes, cols_bytes = 4 * 8 * 16 * 16 * 8, 27 * 4 * 16 * 16 * 8
+        out_bytes = act_bytes // 4 if fused else act_bytes
+        acts = act_bytes + out_bytes if fused else act_bytes
         for w_grad in (False, True):
             w = Tensor(rng.standard_normal((8, 3, 3, 3)), requires_grad=w_grad)
             b = Tensor(np.zeros(8))
-            op = (lambda: conv2d_bias_relu(x, w, b, padding=1)) if fused else (lambda: conv2d(x, w, padding=1))
+            op = (lambda: conv2d_bias_relu_pool(x, w, b, padding=1)) if fused else (lambda: conv2d(x, w, padding=1))
             out, kept = kept_bytes(op)
             assert out.data.nbytes == out_bytes
             if w_grad:
-                assert kept >= out_bytes + cols_bytes
+                assert kept >= acts + cols_bytes
             else:
-                assert out_bytes <= kept < out_bytes + cols_bytes // 2
+                assert acts <= kept < acts + cols_bytes // 2
+
+    def test_pool_must_divide_conv_extents(self, rng):
+        x, w, b = Tensor(rng.standard_normal((1, 1, 5, 5))), Tensor(np.ones((2, 1, 3, 3))), Tensor(np.zeros(2))
+        with pytest.raises(ValueError, match=r"pool size 2 must divide spatial extents \(5, 5\)"):
+            conv2d_bias_relu_pool(x, w, b, padding=1)
 
 
 def argmax_pool(x, g, k):

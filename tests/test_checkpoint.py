@@ -77,11 +77,13 @@ def test_every_cut_point_loads_a_prefix_or_raises(tmp_path, rng):
 
 
 # a flipped exponent bit can make a float32 signalling NaN, which numpy
-# warns about when it widens the value to float64
-@pytest.mark.filterwarnings("ignore:invalid value encountered in cast:RuntimeWarning")
+# warns about when it widens the value to float64: the filter turns that
+# warning into a failure, so the finite check must come first
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_every_bit_flip_loads_or_raises(tmp_path):
-    # 523 bytes, among whose flips are a rank of 68 (past numpy's limit)
-    # and fc.b extents whose product wraps to 0 in int64
+    # 523 bytes, among whose flips are a rank of 68 (past numpy's limit),
+    # fc.b extents whose product wraps to 0 in int64, and exponent bits
+    # that make a weight infinite or NaN
     rng = np.random.default_rng(0)
     tensors = OrderedDict([("conv1.w", rng.standard_normal((4, 3, 3, 3))), ("fc.b", rng.standard_normal(10))])
     path = tmp_path / "m.sct"
@@ -94,6 +96,10 @@ def test_every_bit_flip_loads_or_raises(tmp_path):
     outcomes = flip_every_bit(path.read_bytes(), load, CheckpointError)
     assert len(outcomes) == 8 * 523
     assert any(isinstance(o, CheckpointError) and "rank 68" in str(o) for o in outcomes)
+    assert any(isinstance(o, CheckpointError) and "'fc.b' holds non-finite" in str(o) for o in outcomes)
+    for o in outcomes:
+        if not isinstance(o, CheckpointError):
+            assert all(np.isfinite(arr).all() for arr in o.values())
 
 
 def test_zero_extent_beside_huge_extents(tmp_path):

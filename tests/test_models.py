@@ -123,8 +123,8 @@ class TestForward:
 
 
 def unfused_cnn(params, xt):
-    """The CNN forward with each conv, bias add and ReLU as three nodes:
-    the oracle for forward_eval's fused conv2d_bias_relu."""
+    """The CNN forward with each conv, bias add, ReLU and max-pool as four
+    nodes: the oracle for forward_eval's conv2d_bias_relu_pool."""
     n = xt.data.shape[0]
     h = relu(conv2d(xt, params["conv1.w"], padding=1) + reshape(params["conv1.b"], (1, -1, 1, 1)))
     h = max_pool2d(h, 2)

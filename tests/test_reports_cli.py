@@ -1,10 +1,14 @@
 import json
 import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import scaat
 from scaat.adversarial import AdvConfig
 from scaat.checkpoint import load_checkpoint
 from scaat.cli import run_cli
@@ -295,6 +299,20 @@ class TestCli:
         assert run_cli(["train", "--config", "x", "--bogus"]) == 2
         assert run_cli(["frobnicate"]) == 2
         assert run_cli(["train", "--config", str(tmp_path / "nope.json")]) == 2
+
+    def test_module_form_runs_main(self, tmp_path):
+        # ``python -m scaat.cli`` behaves as the ``scaat`` console script
+        def run(*args):
+            env = {**os.environ, "PYTHONPATH": str(Path(scaat.__file__).parents[1])}
+            cmd = [sys.executable, "-m", "scaat.cli", *args]
+            return subprocess.run(cmd, env=env, capture_output=True, text=True, timeout=120)
+
+        done = run("--help")
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.startswith("usage: scaat ")
+        done = run("train", "--config", str(tmp_path / "nope.json"))
+        assert done.returncode == 2
+        assert done.stderr.startswith("error: config file not found") and "usage: scaat" in done.stderr
 
     @pytest.mark.parametrize(
         "edit, message",
