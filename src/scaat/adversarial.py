@@ -15,6 +15,7 @@ move, and plain ascent cannot cross the valley between the two signs.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,12 +38,12 @@ class AdvConfig:
     variant: str = "pgd"
 
     def __post_init__(self):
-        if self.epsilon < 0:
-            raise ValueError(f"epsilon must be >= 0, got {self.epsilon}")
+        if not 0 <= self.epsilon < math.inf:
+            raise ValueError(f"epsilon must be finite and >= 0, got {self.epsilon}")
         if self.k < 1:
             raise ValueError(f"k must be >= 1, got {self.k}")
-        if self.alpha is not None and self.alpha <= 0:
-            raise ValueError(f"alpha must be > 0, got {self.alpha}")
+        if self.alpha is not None and not 0 < self.alpha < math.inf:
+            raise ValueError(f"alpha must be finite and > 0, got {self.alpha}")
         if self.variant not in ("pgd", "fgsm"):
             raise ValueError(f"variant must be 'pgd' or 'fgsm', got {self.variant!r}")
 
@@ -127,15 +128,16 @@ def _project(delta, x, eps, mask_pix):
     return np.clip(delta, -x, 1.0 - x)
 
 
-def _objective(frozen, x_adv, p_clean, grad=False):
+def _objective(params, x_adv, p_clean, grad=False):
     """Row-wise JS (bits) between the model's outputs at ``x_adv`` and
-    ``p_clean``; returns (js, d sum(js) / d x_adv or None, adv probs)."""
+    ``p_clean``; returns (js, d sum(js) / d x_adv or None, the adv
+    softmax ``Tensor``, with a graph into ``params`` unless frozen)."""
     xt = Tensor(x_adv, requires_grad=grad)
-    probs = softmax(forward_eval(frozen, xt))
+    probs = softmax(forward_eval(params, xt))
     js_vec = js_bits(probs, Tensor(p_clean))
     if grad:
         tsum(js_vec).backward()
-    return js_vec.data, xt.grad, probs.data
+    return js_vec.data, xt.grad, probs
 
 
 def perturb_batch(
@@ -153,7 +155,9 @@ def perturb_batch(
     the one-step case of the PGD loop: its step of size epsilon uses the
     gradient at the random start but is taken from the clean input.
     Returns (delta, objective, adv_proba) stacked over samples, each
-    sample's best iterate by objective.
+    sample's best iterate by objective; ``adv_proba`` is the softmax
+    ``Tensor`` at ``x + delta`` with its graph into the live ``params``,
+    so a training loss can reuse it instead of running that forward again.
     """
     frozen = params.frozen()
     x = np.asarray(x, dtype=np.float64)
@@ -177,20 +181,21 @@ def perturb_batch(
     steps, alpha = (1, eps) if fgsm else (cfg.k, cfg.step_size)
     cand_deltas = np.empty((steps, *x.shape))
     cand_objs = np.empty((steps, n))
-    cand_probs = np.empty((steps, n, p_clean.shape[-1]))
     for t in range(steps):
-        obj, grad, probs = _objective(frozen, x + delta, p_clean, grad=True)
+        obj, grad, _ = _objective(frozen, x + delta, p_clean, grad=True)
         if t > 0:
             cand_objs[t - 1] = obj
-            cand_probs[t - 1] = probs
         step = alpha * np.sign(grad)
         delta = _project(step if fgsm else delta + step, x, eps, mask_pix)
         cand_deltas[t] = delta
-    cand_objs[-1], _, cand_probs[-1] = _objective(frozen, x + delta, p_clean)
+    cand_objs[-1], _, probs = _objective(params, x + delta, p_clean)
 
     best = cand_objs.argmax(axis=0)
     rows = np.arange(n)
-    return cand_deltas[best, rows], cand_objs[best, rows], cand_probs[best, rows]
+    if np.any(best < steps - 1):  # keep the returned graph at the returned delta
+        delta = cand_deltas[best, rows]
+        probs = _objective(params, x + delta, p_clean)[2]
+    return delta, cand_objs[best, rows], probs
 
 
 def _single(params, x, y, cfg, mask, rng, expected_variant) -> Perturbation:
@@ -208,7 +213,7 @@ def _single(params, x, y, cfg, mask, rng, expected_variant) -> Perturbation:
     mask_flat = np.zeros((1, n_pixels), dtype=bool)
     mask_flat[0, mask] = True
     delta, obj, probs = perturb_batch(params, x[None], cfg, mask_flat, rng, predict_proba(params, x[None]))
-    return Perturbation(delta=delta[0], mask=mask, objective=float(obj[0]), adv_proba=probs[0])
+    return Perturbation(delta=delta[0], mask=mask, objective=float(obj[0]), adv_proba=probs.data[0])
 
 
 def pgd_masked(params: ParamSet, x, y: int, cfg: AdvConfig, mask, rng=None) -> Perturbation:

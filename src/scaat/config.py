@@ -10,6 +10,7 @@ its dataclass.
 from __future__ import annotations
 
 import json
+import typing
 from dataclasses import MISSING, dataclass, fields, is_dataclass, replace
 
 from .adversarial import AdvConfig
@@ -94,21 +95,36 @@ def run_config_to_dict(cfg: RunConfig) -> dict:
     return doc
 
 
-def _coerce(default, value, where: str):
-    """``value`` as the type of the field's default; as given when the
-    default is None."""
-    if default is None:
-        return value
+def _coerce(kind, value, where: str):
+    """``value`` read as the field type ``kind``, strictly: a JSON null
+    only for an optional field, a string only for a string field, a number
+    that is not a boolean for a number field (an integral one for an int
+    field), and a list of such elements for a tuple field."""
+    args = typing.get_args(kind)
+    if type(None) in args:
+        if value is None:
+            return None
+        (kind,) = (a for a in args if a is not type(None))
+    if typing.get_origin(kind) is tuple:
+        if not isinstance(value, (list, tuple)):
+            raise ConfigError(f"{where}: cannot read {value!r} as a list")
+        return tuple(_coerce(typing.get_args(kind)[0], v, where) for v in value)
+    if kind is str:
+        ok = isinstance(value, str)
+    else:
+        ok = isinstance(value, (int, float)) and not isinstance(value, bool)
+        ok = ok and (kind is float or isinstance(value, int) or value.is_integer())
     try:
-        if isinstance(default, str) and not isinstance(value, str):
-            raise TypeError
-        return type(default)(value)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{where}: cannot read {value!r} as {type(default).__name__}") from None
+        if ok:
+            return kind(value)
+    except OverflowError:
+        pass
+    raise ConfigError(f"{where}: cannot read {value!r} as {kind.__name__}")
 
 
 def _load_section(cls, doc: dict, name: str, seed: int):
     kwargs = {}
+    kinds = typing.get_type_hints(cls)
     for f in fields(cls):
         default = f.default if f.default is not MISSING else f.default_factory()
         key = _KEYS.get(f.name, f.name)
@@ -117,7 +133,7 @@ def _load_section(cls, doc: dict, name: str, seed: int):
         elif is_dataclass(default):
             kwargs[f.name] = _load_section(type(default), doc, name, seed)
         elif key in doc:
-            kwargs[f.name] = _coerce(default, doc[key], f"{name}.{key}")
+            kwargs[f.name] = _coerce(kinds[f.name], doc[key], f"{name}.{key}")
     try:
         return cls(**kwargs)
     except (TypeError, ValueError) as exc:
@@ -140,8 +156,8 @@ def run_config_from_dict(doc: dict) -> RunConfig:
             f"unsupported config schema {doc.get('schema')!r}, expected {SCHEMA_VERSION}"
         )
     _check_keys(doc, ("schema", "seed", "out_dir", *_SECTIONS), "run config", "")
-    seed = _coerce(RunConfig.seed, doc.get("seed", RunConfig.seed), "seed")
-    out_dir = _coerce(RunConfig.out_dir, doc.get("out_dir", RunConfig.out_dir), "out_dir")
+    seed = _coerce(int, doc.get("seed", RunConfig.seed), "seed")
+    out_dir = _coerce(str, doc.get("out_dir", RunConfig.out_dir), "out_dir")
     sections = []
     for name, cls in _SECTIONS.items():
         section = doc.get(name, {})

@@ -8,6 +8,7 @@ their averages (AOPC), with the relative score AOPC_morf / AOPC_lerf.
 
 from __future__ import annotations
 
+import math
 import zlib
 from dataclasses import asdict, dataclass
 
@@ -157,8 +158,8 @@ class EvalProtocol:
             raise ValueError(f"fraction must be in (0, 1], got {self.fraction}")
         if self.region is not None and self.region < 1:
             raise ValueError(f"region must be >= 1, got {self.region}")
-        if not self.smooth_sigma >= 0:
-            raise ValueError(f"smooth_sigma must be >= 0, got {self.smooth_sigma}")
+        if not 0 <= self.smooth_sigma < math.inf:
+            raise ValueError(f"smooth_sigma must be finite and >= 0, got {self.smooth_sigma}")
         if self.limit is not None and self.limit < 1:
             raise ValueError(f"limit must be >= 1, got {self.limit}")
 

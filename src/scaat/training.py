@@ -4,7 +4,9 @@ adaptive adversarial scheme.
 Per batch in the adversarial modes: build each sample's region-averaged
 gradient saliency map, select its bottom-q_i pixel set, search for the
 masked perturbation that maximizes output JS divergence, then take one
-SGD step on mean(CE + lambda * JS). The per-sample perturbation
+SGD step on mean(CE + lambda * JS). The JS term is built on the softmax
+graph the search returns at the chosen perturbation, so the loss runs
+only the clean forward. The per-sample perturbation
 proportion q_i moves by +/-gamma depending on whether the perturbed
 sample kept its label, frozen during warm-up and clamped to bounds.
 """
@@ -91,12 +93,14 @@ class TrainConfig:
     def __post_init__(self):
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
-        if self.lam < 0:
-            raise ValueError(f"lambda weight must be >= 0, got {self.lam}")
+        if not 0 <= self.lam < math.inf:
+            raise ValueError(f"lambda weight must be finite and >= 0, got {self.lam}")
         if self.n_iter < 1 or self.batch_size < 1:
             raise ValueError("n_iter and batch_size must be >= 1")
-        if self.lr <= 0:
-            raise ValueError(f"lr must be > 0, got {self.lr}")
+        if not 0 < self.lr < math.inf:
+            raise ValueError(f"lr must be finite and > 0, got {self.lr}")
+        if not 0 <= self.momentum < 1:
+            raise ValueError(f"momentum must be in [0, 1), got {self.momentum}")
         _check_q_policy(self.q0, self.q_min, self.q_max, self.gamma)
 
     def resolved_warmup(self) -> int:
@@ -119,17 +123,18 @@ class TrainResult:
 def scaat_loss(params: ParamSet, x, x_adv, y: int, lam: float) -> Tensor:
     """Single-sample objective: CE on the clean input plus lam * JS
     between the output distributions on perturbed and clean input."""
-    return _batch_loss(params, np.asarray(x)[None], np.asarray(x_adv)[None], [int(y)], lam)[0]
+    probs_adv = softmax(forward_eval(params, np.asarray(x_adv)[None]))
+    return _batch_loss(params, np.asarray(x)[None], probs_adv, [int(y)], lam)[0]
 
 
-def _batch_loss(params, x, x_adv, labels, lam):
-    """Batched loss graph; returns (loss, ce values, clean scores)."""
+def _batch_loss(params, x, probs_adv, labels, lam):
+    """Batched loss graph on the adversarial softmax graph ``probs_adv``
+    (None: CE only); returns (loss, ce values, clean scores)."""
     scores = forward_eval(params, x)
     probs = softmax(scores)
     ce_vec = cross_entropy_rows(probs, labels)
-    if x_adv is None or lam == 0.0:
+    if probs_adv is None or lam == 0.0:
         return tmean(ce_vec), ce_vec.data.copy(), scores.data
-    probs_adv = softmax(forward_eval(params, x_adv))
     js_vec = js_bits(probs_adv, probs)
     loss = tmean(ce_vec + mul(js_vec, Tensor(float(lam))))
     return loss, ce_vec.data.copy(), scores.data
@@ -181,24 +186,23 @@ def scaat_train(dataset, spec: ModelSpec, cfg: TrainConfig) -> TrainResult:
         x = images[idx]
         y = labels[idx]
 
-        x_adv = None
+        probs_adv = None
         if adversarial_mode:
             maps, clean_scores = batch_gsmap_scores(params, x, y)
             masks = lowest_masks(region_mean(maps, region), qstate.q[idx])
             p_clean = softmax_np(clean_scores, axis=-1)
-            delta, adv_objective, p_adv = perturb_batch(
+            _, adv_objective, probs_adv = perturb_batch(
                 params, x, cfg.adv, masks, rng_pgd, p_clean=p_clean
             )
-            x_adv = x + delta
             if adaptive:
-                adv_correct = p_adv.argmax(axis=1) == y
+                adv_correct = probs_adv.data.argmax(axis=1) == y
                 for j, sample in enumerate(idx):
                     qstate.q[sample] = update_q(
                         qstate.q[sample], iteration, bool(adv_correct[j]), qstate
                     )
                 qstate.check_bounds()
 
-        loss, ce_vals, score_vals = _batch_loss(params, x, x_adv, y, cfg.lam)
+        loss, ce_vals, score_vals = _batch_loss(params, x, probs_adv, y, cfg.lam)
         if not np.isfinite(loss.data):
             raise TrainingDiverged(f"non-finite loss at iteration {iteration}")
         loss.backward()
@@ -214,8 +218,8 @@ def scaat_train(dataset, spec: ModelSpec, cfg: TrainConfig) -> TrainResult:
             {
                 "iter": iteration,
                 "L_cls": float(ce_vals.mean()),
-                # The search objective is the loss's JS term at the same
-                # rows: the same forward ops on the same x + delta.
+                # The search objective is the loss's JS term: the same
+                # adversarial softmax against the same clean bits.
                 "L_adv": float(adv_objective.mean()) if adversarial_mode else 0.0,
                 "mean_q": float(qstate.q.mean()),
                 "batch_acc": float((score_vals.argmax(axis=1) == y).mean()),

@@ -248,6 +248,7 @@ def test_criterion_5_q_state_machine():
 # -- criterion 6: adaptive q separates irrelevance groups ---------------------
 
 
+@pytest.mark.slow
 def test_criterion_6_adaptive_q_separation():
     t0 = time.time()
     gaps = []
@@ -312,6 +313,7 @@ def _cifar_dir():
 CIFAR_EPOCHS = 12
 
 
+@pytest.mark.slow
 def test_criterion_7_cifar_directional():
     path = _cifar_dir()
     if path is None:
@@ -374,6 +376,7 @@ def synthetic_directional_arms():
     return arms
 
 
+@pytest.mark.slow
 def test_criterion_7_synthetic_directional_analogue(synthetic_directional_arms):
     reg, adv = (synthetic_directional_arms[m] for m in ("regular", "scaat_adaptive_q"))
     # The LeRF and relative-AOPC checks can only be decided if the regular
@@ -417,6 +420,7 @@ def mode_timings():
     }
 
 
+@pytest.mark.slow
 def test_criterion_8_cost_ratio_range(mode_timings):
     ratio = mode_timings["pgd4"] / mode_timings["regular"]
     report(
@@ -428,6 +432,7 @@ def test_criterion_8_cost_ratio_range(mode_timings):
     )
 
 
+@pytest.mark.slow
 def test_criterion_8_fgsm_cheaper(mode_timings):
     report(
         "criterion 8 (fgsm cheaper)",

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from scaat import adversarial
 from scaat.adversarial import (
     AdvConfig,
     _objective,
@@ -18,6 +19,7 @@ from scaat.adversarial import (
 from scaat.autodiff import Tensor, softmax, softmax_np
 from scaat.models import ModelSpec, forward_eval, init_model, predict_proba
 from scaat.saliency import batch_gsmap_scores
+from scaat.training import _batch_loss
 from scaat import seeds
 from conftest import linear_model
 
@@ -96,6 +98,11 @@ class TestConfig:
             AdvConfig(k=0)
         with pytest.raises(ValueError, match="alpha"):
             AdvConfig(alpha=0.0)
+        for bad in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="epsilon must be finite"):
+                AdvConfig(epsilon=bad)
+            with pytest.raises(ValueError, match="alpha must be finite"):
+                AdvConfig(alpha=bad)
         with pytest.raises(ValueError, match="variant"):
             AdvConfig(variant="bim")
 
@@ -195,8 +202,8 @@ class TestSearchContracts:
         cfg = AdvConfig(epsilon=0.1, k=2, variant=variant)
         given = search(params, x, 0, cfg, np.arange(4), rng=5)
         computed = softmax(forward_eval(params.frozen(), x[None])).data
-        want = perturb_batch(params, x[None], cfg, np.ones((1, 4), bool), seeds.stream(5, seeds.PGD), p_clean=computed)
-        for a, b in zip((given.delta, given.objective, given.adv_proba), want):
+        delta, obj, probs = perturb_batch(params, x[None], cfg, np.ones((1, 4), bool), seeds.stream(5, seeds.PGD), p_clean=computed)
+        for a, b in zip((given.delta, given.objective, given.adv_proba), (delta, obj, probs.data)):
             np.testing.assert_array_equal(a, b[0])
 
     @pytest.mark.parametrize(
@@ -265,7 +272,7 @@ def two_branch_search(params, x, cfg, masks, rng, p_clean=None):
         grad = _objective(frozen, x + delta, p_clean, grad=True)[1]
         delta = _project(eps * np.sign(grad) * mask_pix, x, eps, mask_pix)
         obj, _, probs = _objective(frozen, x + delta, p_clean)
-        return delta, obj, probs
+        return delta, obj, probs.data
 
     alpha = cfg.step_size
     cand_deltas = np.empty((cfg.k, *x.shape))
@@ -275,10 +282,11 @@ def two_branch_search(params, x, cfg, masks, rng, p_clean=None):
         obj, grad, probs = _objective(frozen, x + delta, p_clean, grad=True)
         if t > 0:
             cand_objs[t - 1] = obj
-            cand_probs[t - 1] = probs
+            cand_probs[t - 1] = probs.data
         delta = _project(delta + alpha * np.sign(grad), x, eps, mask_pix)
         cand_deltas[t] = delta
-    cand_objs[-1], _, cand_probs[-1] = _objective(frozen, x + delta, p_clean)
+    cand_objs[-1], _, probs = _objective(frozen, x + delta, p_clean)
+    cand_probs[-1] = probs.data
     best = cand_objs.argmax(axis=0)
     rows = np.arange(n)
     return cand_deltas[best, rows], cand_objs[best, rows], cand_probs[best, rows]
@@ -319,28 +327,54 @@ class TestSingleLoop:
         x = rng.uniform(0, 1, (5, *spec.input_shape))
         masks = rng.uniform(size=(5, spec.input_shape[1] * spec.input_shape[2])) < 0.6
         p_clean = np.stack([random_simplex(rng, spec.n_classes) for _ in range(5)]) if foreign_p else predict_proba(params, x)
-        got = perturb_batch(params, x, cfg, masks, seeds.stream(11, seeds.PGD), p_clean=p_clean)
+        delta, obj, probs = perturb_batch(params, x, cfg, masks, seeds.stream(11, seeds.PGD), p_clean=p_clean)
         want = two_branch_search(params, x, cfg, masks, seeds.stream(11, seeds.PGD), p_clean=p_clean if foreign_p else None)
-        for a, b in zip(got, want):
+        for a, b in zip((delta, obj, probs.data), want):
             np.testing.assert_array_equal(a, b)
             assert np.array_equal(np.signbit(a), np.signbit(b))
 
     @pytest.mark.parametrize("arch", sorted(SEARCH_MODELS))
-    @pytest.mark.parametrize("variant", ["pgd", "fgsm"])
-    def test_objective_is_loss_js(self, arch, variant, rng):
-        # Training logs L_adv from the search objective: it must be the
-        # loss's JS term bit for bit, on the graph parameters and at x + delta.
+    @pytest.mark.parametrize(
+        "cfg, earlier_best",
+        [
+            (AdvConfig(epsilon=0.1, k=3), False),
+            (AdvConfig(epsilon=0.05, k=4, alpha=0.15), True),
+            (AdvConfig(epsilon=0.1, variant="fgsm"), False),
+        ],
+        ids=["pgd", "pgd-alpha3eps", "fgsm"],
+    )
+    def test_objective_is_loss_js(self, arch, cfg, earlier_best, rng, monkeypatch):
+        # Training logs L_adv from the search objective and builds its loss
+        # on the returned softmax graph: the objective must be the loss's JS
+        # term, and that loss must be the one a fresh forward at x + delta
+        # gives, in value and in every parameter gradient, bit for bit.
         spec = SEARCH_MODELS[arch]
         params = init_model(spec)
         x = rng.uniform(0, 1, (6, *spec.input_shape))
         y = rng.integers(0, spec.n_classes, 6)
         masks = rng.uniform(size=(6, spec.input_shape[1] * spec.input_shape[2])) < 0.5
-        cfg = AdvConfig(epsilon=0.1, k=3, variant=variant)
+        forwards = []
+        monkeypatch.setattr(adversarial, "forward_eval", lambda *a: forwards.append(1) or forward_eval(*a))
         p_train = softmax_np(batch_gsmap_scores(params, x, y)[1], axis=-1)
+        steps = cfg.k if cfg.variant == "pgd" else 1
         for p_clean in (predict_proba(params, x), p_train):
-            delta, obj, _ = perturb_batch(params, x, cfg, masks, seeds.stream(2, seeds.PGD), p_clean=p_clean)
+            forwards.clear()
+            delta, obj, probs = perturb_batch(params, x, cfg, masks, seeds.stream(2, seeds.PGD), p_clean=p_clean)
+            # one more forward exactly when some row's best iterate is an earlier one
+            assert len(forwards) == steps + 3 + earlier_best
             loss_js = js_bits(softmax(forward_eval(params, x + delta)), softmax(forward_eval(params, x))).data
             np.testing.assert_array_equal(obj, loss_js)
+            results = []
+            for probs_adv in (probs, softmax(forward_eval(params, x + delta))):
+                loss = _batch_loss(params, x, probs_adv, y, 0.7)[0]
+                loss.backward()
+                results.append((loss.data, {name: t.grad for name, t in params.items()}))
+                for _, t in params.items():
+                    t.grad = None
+            (reused, g_reused), (fresh, g_fresh) = results
+            assert reused.tobytes() == fresh.tobytes()
+            for name, g in g_fresh.items():
+                assert g_reused[name].tobytes() == g.tobytes(), name
 
 
 def grid_oracle(params, x, mask_idx, eps, grid=0.01):

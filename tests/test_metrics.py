@@ -342,7 +342,7 @@ class TestEvaluateModel:
     @pytest.mark.parametrize("kwargs", [
         {"steps": 0}, {"repeats": 0}, {"repeats": -1}, {"fraction": 0.0}, {"fraction": 1.5},
         {"fraction": float("nan")}, {"region": 0}, {"smooth_samples": 0}, {"smooth_sigma": -0.1},
-        {"smooth_sigma": float("nan")}, {"ig_steps": 0},
+        {"smooth_sigma": float("nan")}, {"smooth_sigma": float("inf")}, {"ig_steps": 0},
     ], ids=lambda kw: "-".join(f"{k}={v}" for k, v in kw.items()))
     def test_protocol_rejects_bad_values(self, kwargs):
         (name,) = kwargs

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -26,6 +27,11 @@ from scaat.metrics import EvalProtocol, evaluate_model
 from scaat.models import ModelSpec, ParamSet, init_model
 from scaat.reports import export_report, load_report_json
 from scaat.training import TrainConfig
+
+
+def set_keys(section, **values):
+    """A config-document edit that sets ``values`` in ``section``."""
+    return lambda doc: doc[section].update(values)
 
 
 def tiny_run_config(tmp_path, mode="scaat_adaptive_q") -> RunConfig:
@@ -319,7 +325,7 @@ class TestCli:
         [
             pytest.param(lambda d: d["model"].update(input_shape=5), "model.input_shape", id="scalar-shape"),
             pytest.param(lambda d: d["model"].update(n_classes="two"), "model.n_classes", id="bad-int"),
-            pytest.param(lambda d: d["model"].update(input_shape=[[1], 8, 8]), "model:", id="nested-shape"),
+            pytest.param(lambda d: d["model"].update(input_shape=[[1], 8, 8]), "model.input_shape", id="nested-shape"),
             pytest.param(lambda d: d["train"].update(mode=3), "train.mode", id="non-string"),
             pytest.param(lambda d: d.update(model=[]), "model: expected a JSON object", id="list-section"),
             pytest.param(lambda d: d["train"].update(lamda=3), "unknown key train.lamda", id="typo"),
@@ -334,6 +340,29 @@ class TestCli:
             pytest.param(
                 lambda d: d["train"].update(gamma=float("nan")), "train: gamma must be > 0", id="gamma-nan"
             ),
+            # numbers are read strictly, never truncated or parsed from text
+            pytest.param(set_keys("train", batch_size=64.7), "train.batch_size", id="fractional-int"),
+            pytest.param(set_keys("train", k=2.9), "train.k", id="fractional-k"),
+            pytest.param(set_keys("train", batch_size=True), "train.batch_size", id="bool-int"),
+            pytest.param(set_keys("train", **{"lambda": False}), "train.lambda", id="bool-float"),
+            pytest.param(set_keys("model", channels=[16.9, 32]), "model.channels", id="fractional-element"),
+            pytest.param(set_keys("model", hidden=[8, True]), "model.hidden", id="bool-element"),
+            pytest.param(set_keys("train", lr="0.1"), "train.lr", id="string-float"),
+            pytest.param(set_keys("train", alpha="0.1"), "train.alpha", id="string-optional"),
+            pytest.param(set_keys("train", warmup_iters=2.5), "train.warmup_iters", id="fractional-optional"),
+            pytest.param(set_keys("train", lr=None), "train.lr", id="null-float"),
+            pytest.param(set_keys("train", lr=10**400), "train.lr", id="overflow"),
+            pytest.param(lambda d: d.update(seed=1.5), "seed", id="fractional-seed"),
+            # non-finite and out-of-range hyperparameters
+            pytest.param(set_keys("train", lr=math.nan), "train: lr must be finite", id="lr-nan"),
+            pytest.param(set_keys("train", **{"lambda": math.nan}), "train: lambda weight must be finite", id="lam-nan"),
+            pytest.param(set_keys("train", momentum=math.nan), "train: momentum must be in", id="momentum-nan"),
+            pytest.param(set_keys("train", momentum=5.0), "train: momentum must be in", id="momentum-big"),
+            pytest.param(set_keys("train", momentum=-1.0), "train: momentum must be in", id="momentum-negative"),
+            pytest.param(set_keys("train", epsilon=math.nan), "train: epsilon must be finite", id="epsilon-nan"),
+            pytest.param(set_keys("train", epsilon=math.inf), "train: epsilon must be finite", id="epsilon-inf"),
+            pytest.param(set_keys("train", alpha=math.nan), "train: alpha must be finite", id="alpha-nan"),
+            pytest.param(set_keys("eval", smooth_sigma=math.inf), "eval: smooth_sigma must be finite", id="sigma-inf"),
         ],
     )
     def test_malformed_config_exits_one(self, tmp_path, capsys, edit, message):

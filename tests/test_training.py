@@ -1,10 +1,13 @@
+import sys
+
 import numpy as np
 import pytest
 
+from scaat import training
 from scaat.adversarial import AdvConfig
 from scaat.autodiff import cross_entropy, Tensor
 from scaat.data import generate_half_informative
-from scaat.models import ModelSpec
+from scaat.models import ModelSpec, forward_eval
 from scaat.training import (
     QState,
     TrainConfig,
@@ -46,6 +49,21 @@ class TestUpdateQ:
             QState(np.array([0.5]), q0=0.95, q_min=0.1, q_max=0.9, gamma=0.05, warmup_iters=0)
         with pytest.raises(ValueError, match="gamma"):
             QState(np.array([0.5]), q0=0.5, q_min=0.1, q_max=0.9, gamma=0.0, warmup_iters=0)
+
+
+class TestTrainConfig:
+    @pytest.mark.parametrize("kwargs", [
+        {"lr": float("nan")}, {"lr": float("inf")}, {"lr": 0.0}, {"lam": float("nan")}, {"lam": float("inf")},
+        {"lam": -1.0}, {"momentum": float("nan")}, {"momentum": 5.0}, {"momentum": -1.0}, {"momentum": 1.0},
+    ], ids=lambda kw: "-".join(f"{k}={v}" for k, v in kw.items()))
+    def test_rejects_bad_values(self, kwargs):
+        (name,) = kwargs
+        with pytest.raises(ValueError, match={"lam": "lambda weight"}.get(name, name) + " must be"):
+            TrainConfig(**kwargs)
+
+    def test_accepts_edge_values(self):
+        TrainConfig(lam=0.0, momentum=0.0)
+        TrainConfig(momentum=0.999)
 
 
 class TestScaatLoss:
@@ -179,3 +197,81 @@ class TestScaatTrain:
         acc_early = np.mean([r["batch_acc"] for r in result.log[:4]])
         acc_late = np.mean([r["batch_acc"] for r in result.log[-4:]])
         assert acc_late > acc_early
+
+
+class TestPassCounts:
+    """Model forwards and backward sweeps per ``scaat_train`` iteration."""
+
+    def count(self, monkeypatch, spec, cfg, data):
+        iters = []
+        fwd, sweep, batches, search = forward_eval, Tensor.backward, training._batches, training.perturb_batch
+
+        def counted_forward(params, x):
+            iters[-1]["forwards"] += 1
+            iters[-1]["inputs"].append(np.array(getattr(x, "data", x)))
+            return fwd(params, x)
+
+        def counted_sweep(self):
+            iters[-1]["sweeps"] += 1
+            return sweep(self)
+
+        def marked_batches(*args):
+            for idx in batches(*args):
+                iters.append({"forwards": 0, "sweeps": 0, "inputs": [], "x_adv": None})
+                yield idx
+
+        def recorded_search(params, x, *args, **kwargs):
+            iters[-1]["inputs"].clear()  # keep the search's own forward inputs
+            out = search(params, x, *args, **kwargs)
+            iters[-1]["x_adv"] = x + out[0]
+            return out
+
+        for name, mod in list(sys.modules.items()):
+            if name == "scaat" or name.startswith("scaat."):
+                for key, val in list(vars(mod).items()):
+                    if val is fwd:
+                        monkeypatch.setattr(mod, key, counted_forward)
+        monkeypatch.setattr(Tensor, "backward", counted_sweep)
+        monkeypatch.setattr(training, "_batches", marked_batches)
+        monkeypatch.setattr(training, "perturb_batch", recorded_search)
+        scaat_train(data, spec, cfg)
+        assert len(iters) == cfg.n_iter
+        return iters
+
+    @staticmethod
+    def passes(iters):
+        return [(it["forwards"], it["sweeps"]) for it in iters]
+
+    @staticmethod
+    def earlier_best(it, steps):
+        # the search scores its last iterate at its (steps + 3)-th forward;
+        # that input differs from x + delta when an earlier iterate won
+        return not np.array_equal(it["inputs"][steps + 2], it["x_adv"])
+
+    def test_regular_one_forward_one_sweep(self, monkeypatch):
+        iters = self.count(monkeypatch, tiny_spec(), tiny_cfg(mode="regular", n_iter=3), tiny_data())
+        assert self.passes(iters) == [(1, 1)] * 3
+
+    @pytest.mark.parametrize(
+        "variant, steps, forwards, sweeps", [("pgd", 4, 9, 6), ("fgsm", 1, 6, 3)], ids=["pgd4", "fgsm"]
+    )
+    def test_adaptive_passes(self, monkeypatch, variant, steps, forwards, sweeps):
+        # the saliency pass (1 forward, 1 sweep); the search: two starts,
+        # a forward and a sweep per step, one forward scoring the last
+        # iterate; the loss: its clean forward and one sweep
+        cfg = tiny_cfg(n_iter=4, adv=AdvConfig(epsilon=0.05, k=4, variant=variant))
+        iters = self.count(monkeypatch, tiny_spec(), cfg, tiny_data())
+        extra = [self.earlier_best(it, steps) for it in iters]
+        assert not all(extra)
+        assert self.passes(iters) == [(forwards + e, sweeps) for e in extra]
+
+    def test_earlier_best_iterate_costs_one_forward(self, monkeypatch):
+        # alpha = 3 epsilon on a small CNN: some rows' best iterate is an
+        # earlier one, and the search scores it once more
+        spec = ModelSpec("cnn", (3, 16, 16), 4, channels=(4, 8), seed=3)
+        data = generate_half_informative(n=32, size=16, channels=3, classes=4, seed=0)
+        cfg = tiny_cfg(n_iter=4, adv=AdvConfig(epsilon=0.05, k=4, alpha=0.15))
+        iters = self.count(monkeypatch, spec, cfg, data)
+        extra = [self.earlier_best(it, 4) for it in iters]
+        assert any(extra)
+        assert self.passes(iters) == [(9 + e, 6) for e in extra]
