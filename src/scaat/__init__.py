@@ -30,6 +30,6 @@ from .saliency import (
     smooth_grad,
     vanilla_gsmap,
 )
-from .training import QState, TrainConfig, TrainResult, scaat_loss, scaat_train, update_q
+from .training import QState, TrainConfig, TrainResult, scaat_train, update_q
 
 __version__ = "0.1.0"

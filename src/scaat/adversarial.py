@@ -194,6 +194,7 @@ def perturb_batch(
     rows = np.arange(n)
     if np.any(best < steps - 1):  # keep the returned graph at the returned delta
         delta = cand_deltas[best, rows]
+        del probs  # free the last iterate's graph before building its replacement
         probs = _objective(params, x + delta, p_clean)[2]
     return delta, cand_objs[best, rows], probs
 

@@ -4,9 +4,12 @@ adaptive adversarial scheme.
 Per batch in the adversarial modes: build each sample's region-averaged
 gradient saliency map, select its bottom-q_i pixel set, search for the
 masked perturbation that maximizes output JS divergence, then take one
-SGD step on mean(CE + lambda * JS). The JS term is built on the softmax
-graph the search returns at the chosen perturbation, so the loss runs
-only the clean forward. The per-sample perturbation
+SGD step on mean(CE + lambda * JS), its gradient flowing through both
+softmaxes. The JS term's adversarial branch is swept first, on the
+softmax graph the search returns at the chosen perturbation and against
+the clean softmax's bits; only then does the loss build its clean
+forward, so one trainable graph is alive at a time and no adversarial
+forward is repeated. The per-sample perturbation
 proportion q_i moves by +/-gamma depending on whether the perturbed
 sample kept its label, frozen during warm-up and clamped to bounds.
 """
@@ -32,11 +35,11 @@ class TrainingDiverged(RuntimeError):
 
 
 def _check_q_policy(q0: float, q_min: float, q_max: float, gamma: float) -> None:
-    """Reject proportion bounds out of order or a non-positive step."""
+    """Reject proportion bounds out of order or a step that is not finite and positive."""
     if not 0.0 <= q_min <= q0 <= q_max <= 1.0:
         raise ValueError(f"need 0 <= q_min <= q0 <= q_max <= 1, got ({q_min}, {q0}, {q_max})")
-    if not gamma > 0:
-        raise ValueError(f"gamma must be > 0, got {gamma}")
+    if not 0 < gamma < math.inf:
+        raise ValueError(f"gamma must be finite and > 0, got {gamma}")
 
 
 @dataclass
@@ -120,16 +123,10 @@ class TrainResult:
     log: list
 
 
-def scaat_loss(params: ParamSet, x, x_adv, y: int, lam: float) -> Tensor:
-    """Single-sample objective: CE on the clean input plus lam * JS
-    between the output distributions on perturbed and clean input."""
-    probs_adv = softmax(forward_eval(params, np.asarray(x_adv)[None]))
-    return _batch_loss(params, np.asarray(x)[None], probs_adv, [int(y)], lam)[0]
-
-
 def _batch_loss(params, x, probs_adv, labels, lam):
-    """Batched loss graph on the adversarial softmax graph ``probs_adv``
-    (None: CE only); returns (loss, ce values, clean scores)."""
+    """Batched loss graph against the adversarial softmax ``probs_adv``,
+    a graph or a constant (None: CE only); returns (loss, ce values,
+    clean scores)."""
     scores = forward_eval(params, x)
     probs = softmax(scores)
     ce_vec = cross_entropy_rows(probs, labels)
@@ -138,6 +135,21 @@ def _batch_loss(params, x, probs_adv, labels, lam):
     js_vec = js_bits(probs_adv, probs)
     loss = tmean(ce_vec + mul(js_vec, Tensor(float(lam))))
     return loss, ce_vec.data.copy(), scores.data
+
+
+def _sweep_adv_branch(probs_adv: Tensor, p_clean: np.ndarray, lam: float) -> Tensor:
+    """Sweep the loss's lam * JS term through the adversarial softmax
+    graph alone, against ``p_clean``, the bits of the loss's clean
+    softmax, and return that softmax as a constant for the loss.
+
+    The sweep dismantles the graph before the loss builds its clean one.
+    Each parameter gets the contribution a joint sweep of both graphs
+    would give it; the clean sweep adds the other, and a sum of two
+    terms does not depend on their order.
+    """
+    if lam != 0.0:
+        tmean(mul(js_bits(probs_adv, Tensor(p_clean)), Tensor(float(lam)))).backward()
+    return Tensor(probs_adv.data)
 
 
 def _batches(n: int, batch_size: int, n_iter: int, rng: np.random.Generator):
@@ -201,6 +213,7 @@ def scaat_train(dataset, spec: ModelSpec, cfg: TrainConfig) -> TrainResult:
                         qstate.q[sample], iteration, bool(adv_correct[j]), qstate
                     )
                 qstate.check_bounds()
+            probs_adv = _sweep_adv_branch(probs_adv, p_clean, cfg.lam)
 
         loss, ce_vals, score_vals = _batch_loss(params, x, probs_adv, y, cfg.lam)
         if not np.isfinite(loss.data):

@@ -336,10 +336,13 @@ class TestCli:
             pytest.param(
                 lambda d: d["train"].update(q_min=0.9, q_max=0.1), "train: need 0 <= q_min", id="q-bounds-order"
             ),
-            pytest.param(lambda d: d["train"].update(gamma=0), "train: gamma must be > 0", id="gamma-zero"),
             pytest.param(
-                lambda d: d["train"].update(gamma=float("nan")), "train: gamma must be > 0", id="gamma-nan"
+                lambda d: d["train"].update(gamma=0), "train: gamma must be finite and > 0", id="gamma-zero"
             ),
+            pytest.param(
+                lambda d: d["train"].update(gamma=float("nan")), "train: gamma must be finite and > 0", id="gamma-nan"
+            ),
+            pytest.param(set_keys("train", gamma=math.inf), "train: gamma must be finite and > 0", id="gamma-inf"),
             # numbers are read strictly, never truncated or parsed from text
             pytest.param(set_keys("train", batch_size=64.7), "train.batch_size", id="fractional-int"),
             pytest.param(set_keys("train", k=2.9), "train.k", id="fractional-k"),

@@ -1,18 +1,21 @@
 import sys
+import weakref
 
 import numpy as np
 import pytest
 
-from scaat import training
-from scaat.adversarial import AdvConfig
-from scaat.autodiff import cross_entropy, Tensor
+from scaat import adversarial, seeds, training
+from scaat.adversarial import AdvConfig, perturb_batch
+from scaat.autodiff import cross_entropy, softmax, softmax_np, Tensor
 from scaat.data import generate_half_informative
-from scaat.models import ModelSpec, forward_eval
+from scaat.models import ModelSpec, forward_eval, init_model
+from scaat.saliency import batch_gsmap_scores
 from scaat.training import (
     QState,
     TrainConfig,
     TrainingDiverged,
-    scaat_loss,
+    _batch_loss,
+    _sweep_adv_branch,
     scaat_train,
     update_q,
 )
@@ -55,6 +58,7 @@ class TestTrainConfig:
     @pytest.mark.parametrize("kwargs", [
         {"lr": float("nan")}, {"lr": float("inf")}, {"lr": 0.0}, {"lam": float("nan")}, {"lam": float("inf")},
         {"lam": -1.0}, {"momentum": float("nan")}, {"momentum": 5.0}, {"momentum": -1.0}, {"momentum": 1.0},
+        {"gamma": float("inf")},
     ], ids=lambda kw: "-".join(f"{k}={v}" for k, v in kw.items()))
     def test_rejects_bad_values(self, kwargs):
         (name,) = kwargs
@@ -66,20 +70,26 @@ class TestTrainConfig:
         TrainConfig(momentum=0.999)
 
 
+def one_sample_loss(params, x, x_adv, y, lam):
+    """The training loss on one sample, its JS term on a fresh adversarial forward."""
+    probs_adv = softmax(forward_eval(params, np.asarray(x_adv)[None]))
+    return _batch_loss(params, np.asarray(x)[None], probs_adv, [int(y)], lam)[0]
+
+
 class TestScaatLoss:
     def test_lambda_zero_is_plain_ce(self, rng):
         params = linear_model(rng.standard_normal((4, 3)))
         x = rng.uniform(0, 1, 4)
         x_adv = np.clip(x + rng.uniform(-0.1, 0.1, 4), 0, 1)
-        loss = scaat_loss(params, x, x_adv, 1, lam=0.0)
+        loss = one_sample_loss(params, x, x_adv, 1, lam=0.0)
         ce = cross_entropy(Tensor(np.asarray(params["fc0.w"].data.T @ x)), 1)
         np.testing.assert_allclose(loss.item(), ce.item(), rtol=1e-12)
 
     def test_identical_inputs_reduce_to_ce(self, rng):
         params = linear_model(rng.standard_normal((4, 3)))
         x = rng.uniform(0, 1, 4)
-        loss = scaat_loss(params, x, x.copy(), 2, lam=3.0)
-        base = scaat_loss(params, x, x.copy(), 2, lam=0.0)
+        loss = one_sample_loss(params, x, x.copy(), 2, lam=3.0)
+        base = one_sample_loss(params, x, x.copy(), 2, lam=0.0)
         assert loss.item() == base.item()
 
     def test_loss_at_least_ce(self, rng):
@@ -87,15 +97,15 @@ class TestScaatLoss:
             params = linear_model(rng.standard_normal((4, 2)))
             x = rng.uniform(0, 1, 4)
             x_adv = np.clip(x + rng.uniform(-0.2, 0.2, 4), 0, 1)
-            with_adv = scaat_loss(params, x, x_adv, 0, lam=1.5).item()
-            ce_only = scaat_loss(params, x, x_adv, 0, lam=0.0).item()
+            with_adv = one_sample_loss(params, x, x_adv, 0, lam=1.5).item()
+            ce_only = one_sample_loss(params, x, x_adv, 0, lam=0.0).item()
             assert with_adv >= ce_only
 
     def test_differentiable_wrt_params(self, rng):
         params = linear_model(rng.standard_normal((4, 2)))
         x = rng.uniform(0, 1, 4)
         x_adv = np.clip(x + 0.05, 0, 1)
-        loss = scaat_loss(params, x, x_adv, 0, lam=1.0)
+        loss = one_sample_loss(params, x, x_adv, 0, lam=1.0)
         loss.backward()
         assert params["fc0.w"].grad is not None
         assert np.all(np.isfinite(params["fc0.w"].grad))
@@ -122,6 +132,11 @@ def tiny_cfg(**kw):
     )
     defaults.update(kw)
     return TrainConfig(**defaults)
+
+
+# a small CNN on which alpha = 3 epsilon makes some rows' best iterate an earlier one
+ALPHA3_CNN = ModelSpec("cnn", (3, 16, 16), 4, channels=(4, 8), seed=3)
+SMALL_CNN = ModelSpec("cnn", (3, 8, 8), 4, channels=(4, 6), seed=3)
 
 
 class TestScaatTrain:
@@ -253,12 +268,13 @@ class TestPassCounts:
         assert self.passes(iters) == [(1, 1)] * 3
 
     @pytest.mark.parametrize(
-        "variant, steps, forwards, sweeps", [("pgd", 4, 9, 6), ("fgsm", 1, 6, 3)], ids=["pgd4", "fgsm"]
+        "variant, steps, forwards, sweeps", [("pgd", 4, 9, 7), ("fgsm", 1, 6, 4)], ids=["pgd4", "fgsm"]
     )
     def test_adaptive_passes(self, monkeypatch, variant, steps, forwards, sweeps):
         # the saliency pass (1 forward, 1 sweep); the search: two starts,
         # a forward and a sweep per step, one forward scoring the last
-        # iterate; the loss: its clean forward and one sweep
+        # iterate; the loss: a sweep of its JS term's adversarial branch,
+        # then its clean forward and one sweep
         cfg = tiny_cfg(n_iter=4, adv=AdvConfig(epsilon=0.05, k=4, variant=variant))
         iters = self.count(monkeypatch, tiny_spec(), cfg, tiny_data())
         extra = [self.earlier_best(it, steps) for it in iters]
@@ -268,10 +284,103 @@ class TestPassCounts:
     def test_earlier_best_iterate_costs_one_forward(self, monkeypatch):
         # alpha = 3 epsilon on a small CNN: some rows' best iterate is an
         # earlier one, and the search scores it once more
-        spec = ModelSpec("cnn", (3, 16, 16), 4, channels=(4, 8), seed=3)
         data = generate_half_informative(n=32, size=16, channels=3, classes=4, seed=0)
         cfg = tiny_cfg(n_iter=4, adv=AdvConfig(epsilon=0.05, k=4, alpha=0.15))
-        iters = self.count(monkeypatch, spec, cfg, data)
+        iters = self.count(monkeypatch, ALPHA3_CNN, cfg, data)
         extra = [self.earlier_best(it, 4) for it in iters]
         assert any(extra)
-        assert self.passes(iters) == [(9 + e, 6) for e in extra]
+        assert self.passes(iters) == [(9 + e, 7) for e in extra]
+
+
+def search_batch(spec, seed=0, n=12):
+    """A training batch's search inputs as ``scaat_train`` builds them:
+    params, x, labels, masks and the clean softmax's bits."""
+    params = init_model(spec)
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(0, 1, (n, *spec.input_shape))
+    y = rng.integers(0, spec.n_classes, n)
+    masks = rng.uniform(size=(n, spec.input_shape[1] * spec.input_shape[2])) < 0.5
+    p_clean = softmax_np(batch_gsmap_scores(params, x, y)[1], axis=-1)
+    return params, x, y, masks, p_clean
+
+
+class TestOneGraphLive:
+    """The loss sweeps the search's graph before building its clean one."""
+
+    @pytest.mark.parametrize("lam", [1.0, 0.5])
+    @pytest.mark.parametrize(
+        "spec, cfg, earlier_best",
+        [
+            (tiny_spec(), AdvConfig(epsilon=0.05, k=4), False),
+            (tiny_spec(), AdvConfig(epsilon=0.05, variant="fgsm"), False),
+            (SMALL_CNN, AdvConfig(epsilon=0.1, k=4), False),
+            (SMALL_CNN, AdvConfig(epsilon=0.05, variant="fgsm"), False),
+            (ALPHA3_CNN, AdvConfig(epsilon=0.05, k=4, alpha=0.15), True),
+        ],
+        ids=["mlp-pgd4", "mlp-fgsm", "cnn-pgd4", "cnn-fgsm", "cnn-earlier-best"],
+    )
+    def test_split_matches_joint_sweep(self, spec, cfg, earlier_best, lam, monkeypatch):
+        params, x, y, masks, p_clean = search_batch(spec)
+        forwards = []
+        monkeypatch.setattr(adversarial, "forward_eval", lambda *a: forwards.append(1) or forward_eval(*a))
+        steps = cfg.k if cfg.variant == "pgd" else 1
+        results = []
+        for split in (False, True):
+            forwards.clear()
+            probs_adv = perturb_batch(params, x, cfg, masks, seeds.stream(5, seeds.PGD), p_clean=p_clean)[2]
+            assert len(forwards) == steps + 3 + earlier_best
+            if split:
+                probs_adv = _sweep_adv_branch(probs_adv, p_clean, lam)
+            loss = _batch_loss(params, x, probs_adv, y, lam)[0]
+            loss.backward()
+            results.append((loss.data, {name: t.grad for name, t in params.items()}))
+            for _, t in params.items():
+                t.grad = None
+        (joint, g_joint), (split, g_split) = results
+        assert split.tobytes() == joint.tobytes()
+        for name, g in g_joint.items():
+            assert g_split[name].tobytes() == g.tobytes(), name
+
+    def test_search_graph_dismantled_before_clean_forward(self, monkeypatch):
+        returned, checked = [], []
+        search, fwd = training.perturb_batch, training.forward_eval
+
+        def recorded_search(*args, **kwargs):
+            out = search(*args, **kwargs)
+            returned.append(out[2])
+            return out
+
+        def checked_forward(params, x):
+            probs = returned.pop()
+            checked.append(probs._parents == () and probs._backward is None)
+            return fwd(params, x)
+
+        monkeypatch.setattr(training, "perturb_batch", recorded_search)
+        monkeypatch.setattr(training, "forward_eval", checked_forward)
+        scaat_train(tiny_data(), tiny_spec(), tiny_cfg(n_iter=3, adv=AdvConfig(epsilon=0.05, k=4)))
+        assert checked == [True] * 3
+
+    def test_stale_graph_freed_before_rescoring(self, monkeypatch):
+        # the alpha = 3 epsilon set-up of TestPassCounts: the last iterate's
+        # softmax must be gone when the earlier best iterate is scored again
+        data = generate_half_informative(n=32, size=16, channels=3, classes=4, seed=0)
+        cfg = tiny_cfg(n_iter=4, adv=AdvConfig(epsilon=0.05, k=4, alpha=0.15))
+        searches, rescored = [], []
+        search, objective = training.perturb_batch, adversarial._objective
+
+        def marked_search(*args, **kwargs):
+            searches.append([])
+            return search(*args, **kwargs)
+
+        def tracked_objective(params, x_adv, p_clean, grad=False):
+            refs = searches[-1]
+            if len(refs) == cfg.adv.k + 3:  # two starts, k steps, the last iterate
+                rescored.append(refs[-1]() is None)
+            out = objective(params, x_adv, p_clean, grad)
+            refs.append(weakref.ref(out[2].data))
+            return out
+
+        monkeypatch.setattr(training, "perturb_batch", marked_search)
+        monkeypatch.setattr(adversarial, "_objective", tracked_objective)
+        scaat_train(data, ALPHA3_CNN, cfg)
+        assert rescored and all(rescored)
