@@ -4,8 +4,8 @@ Train small image classifiers so their gradient saliency maps become
 sparse and faithful, and measure that with perturbation-based metrics.
 """
 
-from .adversarial import AdvConfig, Perturbation, fgsm_masked, js_div, kl_div, pgd_masked
-from .autodiff import Tensor, backward_grad, cross_entropy
+from .adversarial import AdvConfig, Perturbation, fgsm_masked, kl_div, pgd_masked
+from .autodiff import Tensor, backward_grad
 from .checkpoint import load_checkpoint, save_checkpoint
 from .config import DataConfig, RunConfig, load_run_config, save_run_config
 from .data import Dataset, generate_half_informative, load_dataset
@@ -25,7 +25,6 @@ from .saliency import (
     SaliencyMap,
     integrated_gradients,
     lowest,
-    quantile_threshold,
     region_average,
     smooth_grad,
     vanilla_gsmap,

@@ -108,11 +108,6 @@ def js_bits_np(p, q) -> np.ndarray:
     return js_bits(*(Tensor(a) for a in _checked_rows(p, q))).data
 
 
-def js_div(p, q) -> float:
-    """Symmetrized KL: half of each direction, in bits."""
-    return float(js_bits_np(p, q))
-
-
 # -- masked search -----------------------------------------------------------
 
 

@@ -53,14 +53,7 @@ class Tensor:
 
     def detach(self) -> "Tensor":
         """Same values, no graph, no gradient request. Shares the buffer."""
-        t = Tensor.__new__(Tensor)
-        t.data = self.data
-        t.requires_grad = False
-        t.grad = None
-        t._parents = ()
-        t._backward = None
-        t._consumed = False
-        return t
+        return Tensor(self.data)
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
@@ -519,10 +512,3 @@ def cross_entropy_rows(probs: Tensor, labels) -> Tensor:
     onehot = np.zeros((n, n_classes))
     onehot[np.arange(n), labels] = 1.0
     return -tsum(mul(tlog(probs), Tensor(onehot)), axis=1)
-
-
-def cross_entropy(scores: Tensor, label: int) -> Tensor:
-    """Negative log softmax probability of ``label`` for a 1-D score vector."""
-    if scores.data.ndim != 1:
-        raise ValueError(f"cross_entropy expects a 1-D score vector, got {scores.shape}")
-    return tsum(cross_entropy_rows(softmax(reshape(scores, (1, -1))), [label]))

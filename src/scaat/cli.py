@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
@@ -68,17 +68,7 @@ def _cmd_train(args) -> int:
     result = scaat_train(dataset, cfg.model, cfg.train)
 
     save_checkpoint(result.params.arrays(), out / "checkpoint.sct")
-    write_json(
-        {
-            "q": [float(v) for v in result.qstate.q],
-            "q0": result.qstate.q0,
-            "q_min": result.qstate.q_min,
-            "q_max": result.qstate.q_max,
-            "gamma": result.qstate.gamma,
-            "warmup_iters": result.qstate.warmup_iters,
-        },
-        out / "qstate.json",
-    )
+    write_json({**asdict(result.qstate), "q": [float(v) for v in result.qstate.q]}, out / "qstate.json")
     write_jsonl(result.log, out / "train_log.jsonl")
     save_run_config(cfg, out / "config.json")
     last = result.log[-1]
@@ -162,18 +152,19 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, ckpt=True):
+    def common(p, ckpt=True, evaluates=True):
         p.add_argument("--config", required=True, help="run config JSON")
         p.add_argument("--out", help="override output directory")
         p.add_argument("--seed", type=int, help="override run seed")
         if ckpt:
             p.add_argument("--ckpt", required=True, help="checkpoint file (.sct)")
+        if evaluates:
             p.add_argument("--split", choices=("train", "test"), default="test")
             p.add_argument("--saliency", choices=("vanilla", "smoothgrad", "integrated"))
             p.add_argument("--limit", type=int, help="evaluate only the first N samples")
 
     p_train = sub.add_parser("train", help="train one model arm")
-    common(p_train, ckpt=False)
+    common(p_train, ckpt=False, evaluates=False)
     p_train.add_argument("--mode", choices=tuple(MODE_NAMES), help="override config mode")
     p_train.set_defaults(func=_cmd_train)
 
@@ -194,9 +185,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_cmp.add_argument("--a", required=True, help="first checkpoint")
     p_cmp.add_argument("--b", required=True, help="second checkpoint")
     common(p_cmp, ckpt=False)
-    p_cmp.add_argument("--split", choices=("train", "test"), default="test")
-    p_cmp.add_argument("--saliency", choices=("vanilla", "smoothgrad", "integrated"))
-    p_cmp.add_argument("--limit", type=int)
     p_cmp.set_defaults(func=_cmd_compare)
 
     return parser

@@ -38,18 +38,19 @@ class DataConfig:
     n_test: int | None = None
     n_classes: int = 2
 
+    def __post_init__(self):
+        for name, n in (("n_train", self.n_train), ("n_test", self.n_test)):
+            if n is not None and n < 1:
+                raise ValueError(f"{name} must be >= 1, got {n}")
+
     def load_split(self, split: str) -> Dataset:
-        source = self.train if split == "train" else self.test
+        train = split == "train"
+        source = self.train if train else self.test
         if source is None:
             raise ConfigError(f"no {split!r} source in data config")
-        kwargs = {}
-        if self.format == "idx":
-            kwargs["labels_path"] = self.labels_train if split == "train" else self.labels_test
-            kwargs["n_classes"] = self.n_classes
-        elif self.format == "cifar-binary":
-            kwargs["n_classes"] = self.n_classes
-        ds = load_dataset(source, self.format, split=split, **kwargs)
-        return ds.take(self.n_train if split == "train" else self.n_test)
+        labels = self.labels_train if train else self.labels_test
+        ds = load_dataset(source, self.format, split, labels_path=labels, n_classes=self.n_classes)
+        return ds.take(self.n_train if train else self.n_test)
 
 
 @dataclass(frozen=True)

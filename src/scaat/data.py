@@ -293,15 +293,18 @@ def generate_half_informative(
     )
 
 
-def load_dataset(path: str, format: str, split: str = "train", **kwargs) -> Dataset:
+def load_dataset(
+    path: str, format: str, split: str = "train", labels_path: str | None = None, n_classes: int = 10
+) -> Dataset:
     """Dispatch on format: ``idx`` | ``cifar-binary`` | ``synthetic-spec``.
 
-    For ``synthetic-spec`` the path argument is the generator spec string.
+    For ``synthetic-spec`` the path argument is the generator spec string,
+    which sets the class count; ``labels_path`` is read by ``idx`` only.
     """
     if format == "idx":
-        return load_idx(path, split=split, **kwargs)
+        return load_idx(path, labels_path, n_classes, split)
     if format == "cifar-binary":
-        return load_cifar_binary(path, split=split, **kwargs)
+        return load_cifar_binary(path, n_classes, split)
     if format == "synthetic-spec":
         return generate_half_informative(**parse_synthetic_spec(path), split=split, provenance=path)
     raise DataFormatError(f"unknown dataset format {format!r}")

@@ -68,10 +68,6 @@ class ParamSet:
     def items(self):
         return self.tensors.items()
 
-    @property
-    def n_params(self) -> int:
-        return sum(t.size for t in self.tensors.values())
-
     def frozen(self) -> "ParamSet":
         """Detached view sharing the same buffers; built once, reused.
 

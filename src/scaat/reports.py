@@ -42,16 +42,6 @@ def atomic_write(path, data: bytes) -> None:
         raise OSError(f"failed writing {path}: {exc}") from exc
 
 
-def report_to_json_doc(report: MetricsReport) -> dict:
-    return {
-        "schema": 1,
-        "seed": report.seed,
-        "n_samples": report.n_samples,
-        "protocol": report.protocol,
-        "aggregates": report.aggregates,
-    }
-
-
 def export_report(report: MetricsReport, out_dir, stem: str = "report"):
     """Write aggregate JSON and per-sample CSV, columns in ``per_sample``
     order; returns both paths.
@@ -63,8 +53,16 @@ def export_report(report: MetricsReport, out_dir, stem: str = "report"):
     json_path = out_dir / f"{stem}.json"
     csv_path = out_dir / f"{stem}.csv"
 
-    doc = json.dumps(report_to_json_doc(report), indent=2, sort_keys=True) + "\n"
-    atomic_write(json_path, doc.encode("utf-8"))
+    write_json(
+        {
+            "schema": 1,
+            "seed": report.seed,
+            "n_samples": report.n_samples,
+            "protocol": report.protocol,
+            "aggregates": report.aggregates,
+        },
+        json_path,
+    )
 
     cols = list(report.per_sample)
     lines = ["sample," + ",".join(cols)]
@@ -72,11 +70,6 @@ def export_report(report: MetricsReport, out_dir, stem: str = "report"):
         lines.append(str(i) + "," + ",".join(repr(float(report.per_sample[k][i])) for k in cols))
     atomic_write(csv_path, ("\n".join(lines) + "\n").encode("ascii"))
     return json_path, csv_path
-
-
-def load_report_json(path) -> dict:
-    with open(path, "r", encoding="utf-8") as f:
-        return json.load(f)
 
 
 def export_curve_csv(mean: np.ndarray, std: np.ndarray, path) -> None:

@@ -49,12 +49,16 @@ def _input_grads_scores(params: ParamSet, x: np.ndarray, ys: np.ndarray):
     Samples do not interact in the forward pass, so the gradient of the
     summed per-sample target scores separates exactly per sample.
     """
+    ys = np.atleast_1d(np.asarray(ys))
+    n_classes = params.spec.n_classes
+    bad = ys[(ys < 0) | (ys >= n_classes)]
+    if bad.size:
+        raise ValueError(f"class index {bad[0]} out of range for {n_classes} classes")
     frozen = params.frozen()
     x = np.asarray(x, dtype=np.float64)
-    ys = np.atleast_1d(np.asarray(ys))
     xt = Tensor(x, requires_grad=True)
     scores = forward_eval(frozen, xt)
-    n, n_classes = scores.data.shape if scores.data.ndim == 2 else (1, scores.data.shape[0])
+    n = scores.data.shape[0] if scores.data.ndim == 2 else 1
     onehot = np.zeros((n, n_classes))
     onehot[np.arange(n), ys] = 1.0
     score_values = scores.data.copy()
@@ -65,8 +69,6 @@ def _input_grads_scores(params: ParamSet, x: np.ndarray, ys: np.ndarray):
 
 def vanilla_gsmap(params: ParamSet, x: np.ndarray, y: int) -> SaliencyMap:
     """Absolute gradient of the class-y score wrt each input pixel."""
-    if not 0 <= int(y) < params.spec.n_classes:
-        raise ValueError(f"class index {y} out of range for {params.spec.n_classes} classes")
     g = _input_grads_scores(params, np.asarray(x)[None], np.array([int(y)]))[0][0]
     return SaliencyMap(_channel_reduce(g), method="vanilla")
 
@@ -163,11 +165,6 @@ def lowest_masks(maps: np.ndarray, q) -> np.ndarray:
 def region_average(smap: SaliencyMap, r: int) -> SaliencyMap:
     """Replace each r x r block by its mean; output keeps the resolution."""
     return SaliencyMap(region_mean(smap.values, r), method=smap.method, region=r)
-
-
-def quantile_threshold(values, q: float) -> float:
-    """Ascending-sort element at position floor(q * n); +inf when q = 1."""
-    return float(quantile_thresholds(np.asarray(values, dtype=np.float64).reshape(1, -1), q)[0])
 
 
 def lowest(smap: SaliencyMap, q: float) -> IndexSet:

@@ -105,6 +105,10 @@ class TrainConfig:
         if not 0 <= self.momentum < 1:
             raise ValueError(f"momentum must be in [0, 1), got {self.momentum}")
         _check_q_policy(self.q0, self.q_min, self.q_max, self.gamma)
+        if self.warmup_iters is not None and self.warmup_iters < 0:
+            raise ValueError(f"warmup_iters must be >= 0, got {self.warmup_iters}")
+        if self.train_region is not None and self.train_region < 1:
+            raise ValueError(f"train_region must be >= 1, got {self.train_region}")
 
     def resolved_warmup(self) -> int:
         return self.warmup_iters if self.warmup_iters is not None else int(round(0.1 * self.n_iter))

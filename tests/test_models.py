@@ -36,7 +36,7 @@ class TestInit:
     def test_mlp_param_count(self):
         # 4->3->2 dense stack: 4*3 + 3 + 3*2 + 2 = 23
         spec = ModelSpec("mlp", (1, 2, 2), 2, hidden=(3,))
-        assert init_model(spec).n_params == 23
+        assert sum(t.size for _, t in init_model(spec).items()) == 23
 
     def test_conv_weight_shape(self):
         spec = ModelSpec("cnn", (1, 8, 8), 2, channels=(2, 4))

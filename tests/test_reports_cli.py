@@ -25,8 +25,8 @@ from scaat.config import (
 from scaat.data import generate_half_informative
 from scaat.metrics import EvalProtocol, evaluate_model
 from scaat.models import ModelSpec, ParamSet, init_model
-from scaat.reports import export_report, load_report_json
-from scaat.training import TrainConfig
+from scaat.reports import export_report
+from scaat.training import TrainConfig, scaat_train
 
 
 def set_keys(section, **values):
@@ -206,7 +206,7 @@ class TestReports:
     def test_json_round_trip(self, tmp_path):
         report = self.make_report()
         j, _ = export_report(report, tmp_path)
-        doc = load_report_json(j)
+        doc = json.loads(j.read_text())
         assert doc["n_samples"] == report.n_samples
         for key, val in report.aggregates.items():
             assert doc["aggregates"][key] == pytest.approx(val, rel=1e-12)
@@ -237,6 +237,11 @@ class TestCli:
         out = tmp_path / "out"
         for name in ("checkpoint.sct", "qstate.json", "train_log.jsonl", "config.json"):
             assert (out / name).exists(), name
+        qdoc = json.loads((out / "qstate.json").read_text())
+        assert set(qdoc) == {"q", "q0", "q_min", "q_max", "gamma", "warmup_iters"}
+        result = scaat_train(cfg.data.load_split("train"), cfg.model, cfg.train)
+        assert qdoc.pop("q") == result.qstate.q.tolist()
+        assert qdoc == {k: getattr(result.qstate, k) for k in qdoc}
         log_lines = (out / "train_log.jsonl").read_text().splitlines()
         assert len(log_lines) == cfg.train.n_iter
         rec = json.loads(log_lines[0])
@@ -263,7 +268,7 @@ class TestCli:
         assert run_cli(["evaluate", "--config", str(cfg_path), "--ckpt", ckpt, "--split", "test"]) == 0
         assert (tmp_path / "out" / "report.json").exists()
         assert (tmp_path / "out" / "report.csv").exists()
-        doc = load_report_json(tmp_path / "out" / "report.json")
+        doc = json.loads((tmp_path / "out" / "report.json").read_text())
         assert 0.0 <= doc["aggregates"]["accuracy"] <= 1.0
 
         assert run_cli(["saliency", "--config", str(cfg_path), "--ckpt", ckpt, "--indices", "0,2"]) == 0
@@ -366,6 +371,10 @@ class TestCli:
             pytest.param(set_keys("train", epsilon=math.inf), "train: epsilon must be finite", id="epsilon-inf"),
             pytest.param(set_keys("train", alpha=math.nan), "train: alpha must be finite", id="alpha-nan"),
             pytest.param(set_keys("eval", smooth_sigma=math.inf), "eval: smooth_sigma must be finite", id="sigma-inf"),
+            pytest.param(set_keys("data", n_train=-1), "data: n_train must be >= 1", id="n-train-negative"),
+            pytest.param(set_keys("data", n_train=0), "data: n_train must be >= 1", id="n-train-zero"),
+            pytest.param(set_keys("train", train_region=0), "train: train_region must be >= 1", id="train-region-zero"),
+            pytest.param(set_keys("train", warmup_iters=-1), "train: warmup_iters must be >= 0", id="warmup-negative"),
         ],
     )
     def test_malformed_config_exits_one(self, tmp_path, capsys, edit, message):
@@ -390,6 +399,18 @@ class TestCli:
         ])
         assert code == 1
         assert "limit must be >= 1" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "report.json").exists()
+
+    @pytest.mark.parametrize("n_test", [0, -1])
+    def test_evaluate_rejects_split_size_below_one(self, tmp_path, capsys, n_test):
+        _, cfg_path = self.write_config(tmp_path)
+        assert run_cli(["train", "--config", str(cfg_path)]) == 0
+        doc = json.loads(cfg_path.read_text())
+        doc["data"]["n_test"] = n_test
+        cfg_path.write_text(json.dumps(doc))
+        code = run_cli(["evaluate", "--config", str(cfg_path), "--ckpt", str(tmp_path / "out" / "checkpoint.sct")])
+        assert code == 1
+        assert f"data: n_test must be >= 1, got {n_test}" in capsys.readouterr().err
         assert not (tmp_path / "out" / "report.json").exists()
 
     def test_runtime_errors_exit_one(self, tmp_path):

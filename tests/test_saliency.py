@@ -9,7 +9,7 @@ from scaat.saliency import (
     integrated_gradients,
     lowest,
     lowest_masks,
-    quantile_threshold,
+    quantile_thresholds,
     region_average,
     region_mean,
     save_csv,
@@ -67,6 +67,19 @@ class TestVanilla:
         params = linear_model(np.eye(2))
         with pytest.raises(ValueError, match="out of range"):
             vanilla_gsmap(params, np.zeros(2), 5)
+
+
+@pytest.mark.parametrize("method", [
+    lambda params, x, y: vanilla_gsmap(params, x, y),
+    lambda params, x, y: smooth_grad(params, x, y, n_samples=2, sigma=0.1, rng=0),
+    lambda params, x, y: integrated_gradients(params, x, y, np.zeros_like(x), steps=2),
+], ids=["vanilla", "smoothgrad", "integrated"])
+@pytest.mark.parametrize("y", [-1, 3], ids=["negative", "n_classes"])
+def test_every_method_rejects_class_out_of_range(method, y):
+    # a negative index would otherwise wrap to the last class
+    params = linear_model(np.eye(3))
+    with pytest.raises(ValueError, match="out of range"):
+        method(params, np.full((1, 1, 3), 0.5), y)
 
 
 class TestSmoothGrad:
@@ -169,18 +182,18 @@ class TestRegionAverage:
 
 class TestQuantileAndLowest:
     def test_zero_quantile_is_minimum(self):
-        assert quantile_threshold([5.0, 1.0, 3.0], 0.0) == 1.0
+        assert quantile_thresholds(np.array([[5.0, 1.0, 3.0]]), 0.0)[0] == 1.0
 
     def test_position_convention(self):
         # ascending [1,2,3,4,5], position floor(0.4*5) = 2 -> value 3
-        assert quantile_threshold([5.0, 1.0, 3.0, 2.0, 4.0], 0.4) == 3.0
+        assert quantile_thresholds(np.array([[5.0, 1.0, 3.0, 2.0, 4.0]]), 0.4)[0] == 3.0
 
     def test_full_quantile_sentinel(self):
-        assert quantile_threshold([1.0, 2.0], 1.0) == np.inf
+        assert quantile_thresholds(np.array([[1.0, 2.0]]), 1.0)[0] == np.inf
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError, match="empty"):
-            quantile_threshold([], 0.5)
+            quantile_thresholds(np.array([[]]), 0.5)
 
     def test_lowest_zero_empty(self):
         smap = SaliencyMap(np.array([[5.0, 1.0], [3.0, 2.0]]), "vanilla")

@@ -6,7 +6,7 @@ import pytest
 
 from scaat import adversarial, seeds, training
 from scaat.adversarial import AdvConfig, perturb_batch
-from scaat.autodiff import cross_entropy, softmax, softmax_np, Tensor
+from scaat.autodiff import cross_entropy_rows, softmax, softmax_np, Tensor
 from scaat.data import generate_half_informative
 from scaat.models import ModelSpec, forward_eval, init_model
 from scaat.saliency import batch_gsmap_scores
@@ -58,7 +58,7 @@ class TestTrainConfig:
     @pytest.mark.parametrize("kwargs", [
         {"lr": float("nan")}, {"lr": float("inf")}, {"lr": 0.0}, {"lam": float("nan")}, {"lam": float("inf")},
         {"lam": -1.0}, {"momentum": float("nan")}, {"momentum": 5.0}, {"momentum": -1.0}, {"momentum": 1.0},
-        {"gamma": float("inf")},
+        {"gamma": float("inf")}, {"warmup_iters": -1}, {"train_region": 0}, {"train_region": -2},
     ], ids=lambda kw: "-".join(f"{k}={v}" for k, v in kw.items()))
     def test_rejects_bad_values(self, kwargs):
         (name,) = kwargs
@@ -66,7 +66,7 @@ class TestTrainConfig:
             TrainConfig(**kwargs)
 
     def test_accepts_edge_values(self):
-        TrainConfig(lam=0.0, momentum=0.0)
+        TrainConfig(lam=0.0, momentum=0.0, warmup_iters=0, train_region=1)
         TrainConfig(momentum=0.999)
 
 
@@ -82,8 +82,8 @@ class TestScaatLoss:
         x = rng.uniform(0, 1, 4)
         x_adv = np.clip(x + rng.uniform(-0.1, 0.1, 4), 0, 1)
         loss = one_sample_loss(params, x, x_adv, 1, lam=0.0)
-        ce = cross_entropy(Tensor(np.asarray(params["fc0.w"].data.T @ x)), 1)
-        np.testing.assert_allclose(loss.item(), ce.item(), rtol=1e-12)
+        ce = cross_entropy_rows(softmax(Tensor((params["fc0.w"].data.T @ x)[None])), [1])
+        np.testing.assert_allclose(loss.item(), ce.data[0], rtol=1e-12)
 
     def test_identical_inputs_reduce_to_ce(self, rng):
         params = linear_model(rng.standard_normal((4, 3)))
