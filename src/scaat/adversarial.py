@@ -199,8 +199,7 @@ def _single(params, x, y, cfg, mask, rng, expected_variant) -> Perturbation:
         raise ValueError(f"config variant {cfg.variant!r} does not match {expected_variant!r} search")
     if not 0 <= int(y) < params.spec.n_classes:
         raise ValueError(f"class index {y} out of range for {params.spec.n_classes} classes")
-    if rng is None or isinstance(rng, int):
-        rng = seeds.stream(rng or 0, seeds.PGD)
+    rng = seeds.as_generator(rng, seeds.PGD)
     x = np.asarray(x, dtype=np.float64)
     mask = np.asarray(mask, dtype=np.int64)
     n_pixels = x.shape[-2] * x.shape[-1]

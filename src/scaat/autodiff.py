@@ -215,21 +215,16 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product for 1-D or 2-D operands."""
+    """Matrix product of 2-D operands."""
+    if a.data.ndim != 2 or b.data.ndim != 2:
+        raise ValueError(f"matmul takes 2-D operands, got shapes {a.shape} and {b.shape}")
     data = a.data @ b.data
 
     def bwd(g):
-        ad, bd = a.data, b.data
         if a.requires_grad:
-            if bd.ndim == 1:
-                a._accum(g * bd if ad.ndim == 1 else np.outer(g, bd))
-            else:
-                a._accum(g @ bd.T)
+            a._accum(g @ b.data.T)
         if b.requires_grad:
-            if ad.ndim == 1:
-                b._accum(g * ad if bd.ndim == 1 else np.outer(ad, g))
-            else:
-                b._accum(ad.T @ g)
+            b._accum(a.data.T @ g)
 
     return _make(data, (a, b), bwd)
 
@@ -310,19 +305,13 @@ def softmax_np(z: np.ndarray, axis: int = -1) -> np.ndarray:
 
 
 def _pad_hw(x: np.ndarray, padding: int) -> np.ndarray:
-    if not padding:
-        return x
     n, c, h, w = x.shape
     out = np.zeros((n, c, h + 2 * padding, w + 2 * padding))
     out[:, :, padding : padding + h, padding : padding + w] = x
     return out
 
 
-def _shifted_view(xp: np.ndarray, dy: int, dx: int, ho: int, wo: int, stride: int):
-    return xp[:, :, dy : dy + (ho - 1) * stride + 1 : stride, dx : dx + (wo - 1) * stride + 1 : stride]
-
-
-def _unfold(x: np.ndarray, kh: int, kw: int, stride: int, padding: int):
+def _unfold(x: np.ndarray, kh: int, kw: int, padding: int):
     """Offset-major unfold: rows are (dy, dx, channel), columns (n, ho, wo).
 
     Built from kh*kw cheap strided block copies; the layout feeds one
@@ -331,13 +320,13 @@ def _unfold(x: np.ndarray, kh: int, kw: int, stride: int, padding: int):
     """
     n, c = x.shape[0], x.shape[1]
     xp = _pad_hw(x, padding)
-    ho = (xp.shape[2] - kh) // stride + 1
-    wo = (xp.shape[3] - kw) // stride + 1
+    ho = xp.shape[2] - kh + 1
+    wo = xp.shape[3] - kw + 1
     cols = np.empty((kh * kw * c, n * ho * wo))
     k = 0
     for dy in range(kh):
         for dx in range(kw):
-            xs = _shifted_view(xp, dy, dx, ho, wo, stride)
+            xs = xp[:, :, dy : dy + ho, dx : dx + wo]
             np.copyto(cols[k : k + c].reshape(c, n, ho, wo), xs.transpose(1, 0, 2, 3))
             k += c
     return cols, ho, wo
@@ -348,11 +337,11 @@ def _kernel_matrix(w: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(w.transpose(0, 2, 3, 1)).reshape(f, kh * kw * c)
 
 
-def _conv2d_forward(x: np.ndarray, w: np.ndarray, stride: int, padding: int):
+def _conv2d_forward(x: np.ndarray, w: np.ndarray, padding: int):
     """The conv output channel-major, (F, N, Ho, Wo), and the unfold."""
     n = x.shape[0]
     f, _, kh, kw = w.shape
-    cols, ho, wo = _unfold(x, kh, kw, stride, padding)
+    cols, ho, wo = _unfold(x, kh, kw, padding)
     return (_kernel_matrix(w) @ cols).reshape(f, n, ho, wo), cols
 
 
@@ -362,7 +351,7 @@ def _nchw(x: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(x.swapaxes(0, 1))
 
 
-def _conv2d_backward(gm: np.ndarray, a: Tensor, w: Tensor, cols, stride: int, padding: int) -> None:
+def _conv2d_backward(gm: np.ndarray, a: Tensor, w: Tensor, cols, padding: int) -> None:
     """Both conv gradients from the channel-major output gradient ``gm``,
     (F, N, Ho, Wo) and contiguous."""
     f, c, kh, kw = w.data.shape
@@ -380,20 +369,17 @@ def _conv2d_backward(gm: np.ndarray, a: Tensor, w: Tensor, cols, stride: int, pa
             for dx in range(kw):
                 wk = np.ascontiguousarray(w.data[:, :, dy, dx])
                 contrib = (wk.T @ gm).reshape(c, n, ho, wo)
-                dxq[:, :, dy : dy + (ho - 1) * stride + 1 : stride,
-                    dx : dx + (wo - 1) * stride + 1 : stride] += contrib
-        if padding:
-            dxq = dxq[:, :, padding : padding + h, padding : padding + wd]
-        a._accum(_nchw(dxq))
+                dxq[:, :, dy : dy + ho, dx : dx + wo] += contrib
+        a._accum(_nchw(dxq[:, :, padding : padding + h, padding : padding + wd]))
 
 
-def conv2d(a: Tensor, w: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
-    """2-D cross-correlation of (N,C,H,W) input with (F,C,kh,kw) filters."""
-    out, cols = _conv2d_forward(a.data, w.data, stride, padding)
+def conv2d(a: Tensor, w: Tensor, padding: int = 0) -> Tensor:
+    """Stride-1 cross-correlation of (N,C,H,W) input with (F,C,kh,kw) filters."""
+    out, cols = _conv2d_forward(a.data, w.data, padding)
     cols = cols if w.requires_grad else None  # only dW reads the unfold
 
     def bwd(g):
-        _conv2d_backward(_nchw(g), a, w, cols, stride, padding)
+        _conv2d_backward(_nchw(g), a, w, cols, padding)
 
     return _make(_nchw(out), (a, w), bwd)
 
@@ -474,7 +460,7 @@ def conv2d_bias_relu_pool(a: Tensor, w: Tensor, b: Tensor, padding: int = 0, k: 
     and the pooled output; the backward routes its gradient into the
     pre-activation's buffer, which it reads for the last time.
     """
-    act, cols = _conv2d_forward(a.data, w.data, 1, padding)
+    act, cols = _conv2d_forward(a.data, w.data, padding)
     cols = cols if w.requires_grad else None  # only dW reads the unfold
     act += b.data.reshape(-1, 1, 1, 1)
     pooled = _pool_max(act, k)
@@ -494,7 +480,7 @@ def conv2d_bias_relu_pool(a: Tensor, w: Tensor, b: Tensor, padding: int = 0, k: 
             # is passed on unsummed, which keeps a lone -0.0
             g_b = _unbroadcast(_nchw(gm), (1, gm.shape[0], 1, 1))
             b._accum(g_b.reshape(b.data.shape))
-        _conv2d_backward(gm, a, w, cols, 1, padding)
+        _conv2d_backward(gm, a, w, cols, padding)
 
     return _make(out, (a, w, b), bwd)
 

@@ -14,7 +14,7 @@ import typing
 from dataclasses import MISSING, dataclass, fields, is_dataclass, replace
 
 from .adversarial import AdvConfig
-from .data import Dataset, load_dataset
+from .data import Dataset, load_dataset, parse_synthetic_spec
 from .metrics import EvalProtocol
 from .models import ModelSpec
 from .reports import write_json
@@ -150,8 +150,9 @@ def _check_keys(doc, known, name: str, prefix: str) -> None:
 
 
 def run_config_from_dict(doc: dict) -> RunConfig:
-    """Missing keys take the dataclass defaults; a non-object section, an
-    unknown key or a value of the wrong type raises ``ConfigError``."""
+    """Missing keys take the dataclass defaults. A non-object section, an
+    unknown key, a mistyped value or more data classes than model classes
+    raise ``ConfigError``."""
     if isinstance(doc, dict) and doc.get("schema") != SCHEMA_VERSION:
         raise ConfigError(
             f"unsupported config schema {doc.get('schema')!r}, expected {SCHEMA_VERSION}"
@@ -165,6 +166,13 @@ def run_config_from_dict(doc: dict) -> RunConfig:
         _check_keys(section, _section_dict(cls()), name, f"{name}.")
         sections.append(_load_section(cls, section, name, seed))
     model, train, protocol, data = sections
+    counts = {"data.n_classes": data.n_classes}
+    if data.format == "synthetic-spec":
+        specs = {"data.train": data.train, "data.test": data.test}
+        counts = {key: parse_synthetic_spec(spec)["classes"] for key, spec in specs.items() if spec is not None}
+    for key, n in counts.items():
+        if n > model.n_classes:
+            raise ConfigError(f"{key} has {n} classes, which exceeds model.n_classes = {model.n_classes}")
     return RunConfig(model=model, train=train, protocol=protocol, data=data, out_dir=out_dir, seed=seed)
 
 

@@ -58,7 +58,7 @@ class Dataset:
                 f"labels must lie in [0, {self.n_classes}), got range "
                 f"[{self.labels.min()}, {self.labels.max()}]"
             )
-        if self.images.size and (self.images.min() < 0.0 or self.images.max() > 1.0):
+        if self.images.size and not (self.images.min() >= 0.0 and self.images.max() <= 1.0):
             raise DataFormatError("pixel values must lie in [0, 1] after normalization")
 
     def __len__(self) -> int:

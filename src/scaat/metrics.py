@@ -101,8 +101,7 @@ def perturbation_curve(
     c_dim, h, w = x.shape
     if h % region or w % region:
         raise ValueError(f"region side {region} must divide image extents {(h, w)}")
-    if rng is None or isinstance(rng, int):
-        rng = seeds.stream(rng or 0, seeds.EVAL)
+    rng = seeds.as_generator(rng, seeds.EVAL)
 
     ranking = _tile_ranking(smap.values, region, order)
     n_tiles = ranking.size
@@ -231,6 +230,8 @@ def evaluate_model(params: ParamSet, dataset, protocol: EvalProtocol, seed: int 
     """
     images = np.asarray(dataset.images, dtype=np.float64)[: protocol.limit]
     n = images.shape[0]
+    if n == 0:
+        raise ValueError(f"evaluation split {dataset.split!r} is empty")
 
     rows = []
     curves = {order: np.empty((n, protocol.steps)) for order in ("lerf", "morf")}

@@ -1,9 +1,10 @@
 """Small image classifiers: an MLP and a two-block CNN.
 
-Both take (C,H,W) images (optionally batched) and emit raw class scores.
-``forward_eval`` is the one forward: it builds a gradient graph when a
-parameter or the input requires one. ``scores_np`` and ``predict_proba``
-call it on the frozen parameters, where no graph is recorded.
+``forward_eval`` is the one forward: it takes an (N, C, H, W) batch,
+emits raw class scores and builds a gradient graph when a parameter or
+the input requires one. ``scores_np`` and ``predict_proba`` call it on
+the frozen parameters, where no graph is recorded; they also take one
+(C, H, W) sample.
 """
 
 from __future__ import annotations
@@ -144,35 +145,17 @@ def init_model(spec: ModelSpec) -> ParamSet:
     )
 
 
-def _normalize_input(spec: ModelSpec, x: np.ndarray) -> tuple[np.ndarray, bool]:
-    """Return (batched (N,C,H,W) view, was_single). Raises on mismatch."""
-    shape = tuple(x.shape)
-    full = spec.input_shape
-    if shape == full:
-        return x.reshape((1, *full)), True
-    if len(shape) == 4 and shape[1:] == full:
-        return x, False
-    if spec.arch == "mlp":
-        if shape == (spec.n_features,):
-            return x.reshape((1, *full)), True
-        if len(shape) == 2 and shape[1] == spec.n_features:
-            return x.reshape((-1, *full)), False
-    raise ValueError(f"input shape mismatch: expected {full} (or batched), got {shape}")
-
-
 def forward_eval(params: ParamSet, x) -> Tensor:
-    """Raw class scores with a gradient graph.
-
-    Accepts a Tensor or array, single sample or batch; a single (C,H,W)
-    input yields a (n_classes,) score vector.
-    """
+    """Raw (N, n_classes) class scores of an (N, C, H, W) batch, given as
+    a Tensor or an array, with a gradient graph."""
     spec = params.spec
-    xt = x if isinstance(x, Tensor) else Tensor(np.asarray(x, dtype=np.float64))
-    batched, single = _normalize_input(spec, xt.data)
-    h: Tensor = reshape(xt, batched.shape)
+    h = x if isinstance(x, Tensor) else Tensor(x)
+    if h.shape[1:] != spec.input_shape:
+        raise ValueError(f"shape mismatch: expected {spec.input_shape} batched as (N, C, H, W), got {h.shape}")
+    n = h.shape[0]
 
     if spec.arch == "mlp":
-        h = reshape(h, (batched.shape[0], spec.n_features))
+        h = reshape(h, (n, spec.n_features))
         n_layers = len(spec.hidden) + 1
         for i in range(n_layers):
             h = matmul(h, params[f"fc{i}.w"]) + params[f"fc{i}.b"]
@@ -181,15 +164,17 @@ def forward_eval(params: ParamSet, x) -> Tensor:
     else:
         h = conv2d_bias_relu_pool(h, params["conv1.w"], params["conv1.b"], padding=1)
         h = conv2d_bias_relu_pool(h, params["conv2.w"], params["conv2.b"], padding=1)
-        h = reshape(h, (batched.shape[0], -1))
+        h = reshape(h, (n, -1))
         h = matmul(h, params["fc.w"]) + params["fc.b"]
-
-    return reshape(h, (spec.n_classes,)) if single else h
+    return h
 
 
 def scores_np(params: ParamSet, x: np.ndarray) -> np.ndarray:
     """Raw class scores as an array: ``forward_eval`` on the frozen
-    parameters, so no graph is recorded."""
+    parameters, so no graph is recorded. One (C, H, W) sample gives a
+    (n_classes,) vector."""
+    if np.shape(x) == params.spec.input_shape:
+        return forward_eval(params.frozen(), np.asarray(x)[None]).data[0]
     return forward_eval(params.frozen(), x).data
 
 

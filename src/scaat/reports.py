@@ -42,16 +42,16 @@ def atomic_write(path, data: bytes) -> None:
         raise OSError(f"failed writing {path}: {exc}") from exc
 
 
-def export_report(report: MetricsReport, out_dir, stem: str = "report"):
-    """Write aggregate JSON and per-sample CSV, columns in ``per_sample``
-    order; returns both paths.
+def export_report(report: MetricsReport, out_dir):
+    """Write aggregate JSON and per-sample CSV, ``report.json`` and
+    ``report.csv``, columns in ``per_sample`` order; returns both paths.
 
     Output bytes are a pure function of the report, so re-exporting the
     same report reproduces identical files.
     """
     out_dir = Path(out_dir)
-    json_path = out_dir / f"{stem}.json"
-    csv_path = out_dir / f"{stem}.csv"
+    json_path = out_dir / "report.json"
+    csv_path = out_dir / "report.csv"
 
     write_json(
         {

@@ -27,7 +27,6 @@ class SaliencyMap:
 
     values: np.ndarray  # (H, W), every entry >= 0
     method: str
-    region: int | None = None
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=np.float64)
@@ -54,17 +53,12 @@ def _input_grads_scores(params: ParamSet, x: np.ndarray, ys: np.ndarray):
     bad = ys[(ys < 0) | (ys >= n_classes)]
     if bad.size:
         raise ValueError(f"class index {bad[0]} out of range for {n_classes} classes")
-    frozen = params.frozen()
-    x = np.asarray(x, dtype=np.float64)
     xt = Tensor(x, requires_grad=True)
-    scores = forward_eval(frozen, xt)
-    n = scores.data.shape[0] if scores.data.ndim == 2 else 1
-    onehot = np.zeros((n, n_classes))
-    onehot[np.arange(n), ys] = 1.0
-    score_values = scores.data.copy()
-    target = tsum(mul(scores, Tensor(onehot.reshape(scores.data.shape))))
-    target.backward()
-    return xt.grad.reshape(-1, *params.spec.input_shape), score_values
+    scores = forward_eval(params.frozen(), xt)
+    onehot = np.zeros(scores.shape)
+    onehot[np.arange(len(onehot)), ys] = 1.0
+    tsum(mul(scores, Tensor(onehot))).backward()
+    return xt.grad, scores.data
 
 
 def vanilla_gsmap(params: ParamSet, x: np.ndarray, y: int) -> SaliencyMap:
@@ -93,8 +87,7 @@ def smooth_grad(
         raise ValueError(f"n_samples must be >= 1, got {n_samples}")
     if sigma < 0:
         raise ValueError(f"sigma must be >= 0, got {sigma}")
-    if rng is None or isinstance(rng, int):
-        rng = seeds.stream(rng or 0, seeds.SMOOTH)
+    rng = seeds.as_generator(rng, seeds.SMOOTH)
     x = np.asarray(x, dtype=np.float64)
     noisy = x[None] + sigma * rng.standard_normal((n_samples, *x.shape))
     maps = _channel_reduce(_input_grads_scores(params, noisy, np.full(n_samples, int(y)))[0])
@@ -164,7 +157,7 @@ def lowest_masks(maps: np.ndarray, q) -> np.ndarray:
 
 def region_average(smap: SaliencyMap, r: int) -> SaliencyMap:
     """Replace each r x r block by its mean; output keeps the resolution."""
-    return SaliencyMap(region_mean(smap.values, r), method=smap.method, region=r)
+    return SaliencyMap(region_mean(smap.values, r), method=smap.method)
 
 
 def lowest(smap: SaliencyMap, q: float) -> IndexSet:

@@ -19,3 +19,10 @@ SYNTH = 5
 
 def stream(seed: int, *key: int) -> np.random.Generator:
     return np.random.default_rng([int(seed) & 0xFFFFFFFF, *key])
+
+
+def as_generator(rng, key: int) -> np.random.Generator:
+    """A generator as given; an integer seed, or None for 0, as its ``key`` stream."""
+    if rng is None or isinstance(rng, (int, np.integer)):
+        return stream(rng or 0, key)
+    return rng

@@ -253,6 +253,8 @@ class TestDatasetType:
             Dataset(np.zeros((2, 1, 2, 2)), np.array([0, 5]), 2, "train", "x")
         with pytest.raises(DataFormatError, match=r"\[0, 1\]"):
             Dataset(np.full((1, 1, 2, 2), 1.5), np.array([0]), 2, "train", "x")
+        with pytest.raises(DataFormatError, match=r"\[0, 1\]"):
+            Dataset(np.full((2, 1, 4, 4), np.nan), np.array([0, 1]), 2, "train", "x")
 
     def test_take(self):
         ds = generate_half_informative(n=10, size=8, seed=0)

@@ -318,6 +318,11 @@ class TestEvaluateModel:
         preds = [predict_proba(params, x).argmax() for x in data.images]
         np.testing.assert_array_equal(report.per_sample["correct"], np.equal(preds, data.labels))
 
+    def test_empty_split_rejected(self):
+        params, data = self.make_setup()
+        with pytest.raises(ValueError, match="evaluation split 'test' is empty"):
+            evaluate_model(params, data.take(0), EvalProtocol(steps=3, fraction=0.3, repeats=1, region=2))
+
     def test_limit_rows_equal_full_run_prefix(self):
         # per-sample randomness is keyed by (seed, sample index)
         params, data = self.make_setup()

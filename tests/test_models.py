@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -72,7 +73,7 @@ class TestInit:
 class TestForward:
     def test_identity_linear_model(self):
         params = linear_model(np.eye(2))
-        np.testing.assert_allclose(scores_np(params, np.array([1.0, 2.0])), [1.0, 2.0])
+        np.testing.assert_allclose(scores_np(params, np.array([[[1.0, 2.0]]])), [1.0, 2.0])
 
     # The two tests below check forward_eval against a plain numpy
     # forward written out here, independent of the engine's kernels.
@@ -120,6 +121,12 @@ class TestForward:
         params = init_model(spec)
         with pytest.raises(ValueError, match=r"expected \(3, 8, 8\).*got \(3, 7, 8\)"):
             scores_np(params, rng.uniform(0, 1, (3, 7, 8)))
+
+    def test_forward_eval_takes_batches_only(self, rng):
+        params = linear_model(np.eye(4), input_shape=(1, 2, 2))
+        for shape in ((1, 2, 2), (4,), (3, 4), (3, 1, 4, 1)):
+            with pytest.raises(ValueError, match=rf"expected \(1, 2, 2\).*got {re.escape(str(shape))}"):
+                forward_eval(params, rng.uniform(0, 1, shape))
 
 
 def unfused_cnn(params, xt):
@@ -203,11 +210,11 @@ class TestPredictProba:
     def test_zero_weights_uniform(self):
         spec = ModelSpec("mlp", (1, 1, 3), 4, hidden=())
         params = ParamSet.from_arrays(spec, {"fc0.w": np.zeros((3, 4)), "fc0.b": np.zeros(4)})
-        np.testing.assert_allclose(predict_proba(params, np.array([0.3, 0.7, 0.1])), 0.25)
+        np.testing.assert_allclose(predict_proba(params, np.array([[[0.3, 0.7, 0.1]]])), 0.25)
 
     def test_hand_built_two_feature(self):
         params = linear_model(np.eye(2))
-        p = predict_proba(params, np.array([math.log(2.0), 0.0]))
+        p = predict_proba(params, np.array([[[math.log(2.0), 0.0]]]))
         np.testing.assert_allclose(p, [2.0 / 3.0, 1.0 / 3.0], rtol=1e-12)
 
     def test_argmax_matches_scores(self, rng):

@@ -375,6 +375,19 @@ class TestCli:
             pytest.param(set_keys("data", n_train=0), "data: n_train must be >= 1", id="n-train-zero"),
             pytest.param(set_keys("train", train_region=0), "train: train_region must be >= 1", id="train-region-zero"),
             pytest.param(set_keys("train", warmup_iters=-1), "train: warmup_iters must be >= 0", id="warmup-negative"),
+            # the data may not hold a class the model cannot score
+            pytest.param(
+                set_keys("data", train="half-informative,n=48,size=8,classes=3,seed=1"),
+                "data.train has 3 classes, which exceeds model.n_classes = 2", id="train-spec-classes",
+            ),
+            pytest.param(
+                set_keys("data", test="half-informative,n=16,size=8,classes=5,seed=2"),
+                "data.test has 5 classes, which exceeds model.n_classes = 2", id="test-spec-classes",
+            ),
+            pytest.param(
+                set_keys("data", format="idx", n_classes=10),
+                "data.n_classes has 10 classes, which exceeds model.n_classes = 2", id="idx-classes",
+            ),
         ],
     )
     def test_malformed_config_exits_one(self, tmp_path, capsys, edit, message):
@@ -412,6 +425,22 @@ class TestCli:
         assert code == 1
         assert f"data: n_test must be >= 1, got {n_test}" in capsys.readouterr().err
         assert not (tmp_path / "out" / "report.json").exists()
+
+    def test_evaluate_rejects_empty_split(self, tmp_path, capsys):
+        _, cfg_path = self.write_config(tmp_path)
+        assert run_cli(["train", "--config", str(cfg_path)]) == 0
+        doc = json.loads(cfg_path.read_text())
+        doc["data"]["test"] = "half-informative,n=0,size=8,classes=2,seed=2"
+        cfg_path.write_text(json.dumps(doc))
+        code = run_cli(["evaluate", "--config", str(cfg_path), "--ckpt", str(tmp_path / "out" / "checkpoint.sct")])
+        assert code == 1
+        assert "evaluation split 'test' is empty" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "report.json").exists()
+
+    def test_fewer_data_classes_than_model_classes_load(self):
+        # the default document: a 2-class spec for a 10-class model
+        cfg = run_config_from_dict({"schema": 1})
+        assert "classes=2" in cfg.data.train and cfg.model.n_classes == 10
 
     def test_runtime_errors_exit_one(self, tmp_path):
         _, cfg_path = self.write_config(tmp_path)

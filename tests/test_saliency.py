@@ -32,7 +32,7 @@ class TestVanilla:
     def test_linear_model_gives_abs_weights(self):
         w = np.array([[0.5, -1.0], [-2.0, 0.25], [3.0, 0.0]])
         params = linear_model(w)
-        smap = vanilla_gsmap(params, np.array([0.1, 0.2, 0.3]), 1)
+        smap = vanilla_gsmap(params, np.array([[[0.1, 0.2, 0.3]]]), 1)
         np.testing.assert_allclose(smap.values, np.abs(w[:, 1]).reshape(1, 3))
 
     def test_channel_reduction_is_max(self):
@@ -43,7 +43,7 @@ class TestVanilla:
 
     def test_constant_model_zero_map(self):
         params = linear_model(np.zeros((4, 3)))
-        smap = vanilla_gsmap(params, np.ones(4) * 0.5, 2)
+        smap = vanilla_gsmap(params, np.full((1, 1, 4), 0.5), 2)
         np.testing.assert_array_equal(smap.values, np.zeros((1, 4)))
 
     def test_nonnegative_random(self, rng):
@@ -104,7 +104,7 @@ class TestSmoothGrad:
     def test_linear_model_mean_is_abs_weights(self, rng):
         w = rng.standard_normal((4, 2))
         params = linear_model(w)
-        smap = smooth_grad(params, rng.uniform(0, 1, 4), 0, n_samples=500, sigma=0.5, rng=rng)
+        smap = smooth_grad(params, rng.uniform(0, 1, (1, 1, 4)), 0, n_samples=500, sigma=0.5, rng=rng)
         # constant gradient: every noisy copy contributes exactly |w|
         np.testing.assert_allclose(smap.values, np.abs(w[:, 0]).reshape(1, 4), rtol=1e-12)
 

@@ -79,15 +79,15 @@ def one_sample_loss(params, x, x_adv, y, lam):
 class TestScaatLoss:
     def test_lambda_zero_is_plain_ce(self, rng):
         params = linear_model(rng.standard_normal((4, 3)))
-        x = rng.uniform(0, 1, 4)
-        x_adv = np.clip(x + rng.uniform(-0.1, 0.1, 4), 0, 1)
+        x = rng.uniform(0, 1, (1, 1, 4))
+        x_adv = np.clip(x + rng.uniform(-0.1, 0.1, x.shape), 0, 1)
         loss = one_sample_loss(params, x, x_adv, 1, lam=0.0)
-        ce = cross_entropy_rows(softmax(Tensor((params["fc0.w"].data.T @ x)[None])), [1])
+        ce = cross_entropy_rows(softmax(Tensor(x.reshape(1, 4) @ params["fc0.w"].data)), [1])
         np.testing.assert_allclose(loss.item(), ce.data[0], rtol=1e-12)
 
     def test_identical_inputs_reduce_to_ce(self, rng):
         params = linear_model(rng.standard_normal((4, 3)))
-        x = rng.uniform(0, 1, 4)
+        x = rng.uniform(0, 1, (1, 1, 4))
         loss = one_sample_loss(params, x, x.copy(), 2, lam=3.0)
         base = one_sample_loss(params, x, x.copy(), 2, lam=0.0)
         assert loss.item() == base.item()
@@ -95,15 +95,15 @@ class TestScaatLoss:
     def test_loss_at_least_ce(self, rng):
         for _ in range(10):
             params = linear_model(rng.standard_normal((4, 2)))
-            x = rng.uniform(0, 1, 4)
-            x_adv = np.clip(x + rng.uniform(-0.2, 0.2, 4), 0, 1)
+            x = rng.uniform(0, 1, (1, 1, 4))
+            x_adv = np.clip(x + rng.uniform(-0.2, 0.2, x.shape), 0, 1)
             with_adv = one_sample_loss(params, x, x_adv, 0, lam=1.5).item()
             ce_only = one_sample_loss(params, x, x_adv, 0, lam=0.0).item()
             assert with_adv >= ce_only
 
     def test_differentiable_wrt_params(self, rng):
         params = linear_model(rng.standard_normal((4, 2)))
-        x = rng.uniform(0, 1, 4)
+        x = rng.uniform(0, 1, (1, 1, 4))
         x_adv = np.clip(x + 0.05, 0, 1)
         loss = one_sample_loss(params, x, x_adv, 0, lam=1.0)
         loss.backward()
