@@ -150,9 +150,12 @@ def perturb_batch(
     the one-step case of the PGD loop: its step of size epsilon uses the
     gradient at the random start but is taken from the clean input.
     Returns (delta, objective, adv_proba) stacked over samples, each
-    sample's best iterate by objective; ``adv_proba`` is the softmax
-    ``Tensor`` at ``x + delta`` with its graph into the live ``params``,
-    so a training loss can reuse it instead of running that forward again.
+    sample's best iterate by objective, the first of equal ones (a NaN
+    objective counts as the largest, as in ``argmax``); ``adv_proba`` is
+    the softmax ``Tensor`` at ``x + delta`` with its graph into the live
+    ``params``, so a training loss can reuse it instead of running that
+    forward again. Only the current iterate and the running best are
+    held, not a stack of all k.
     """
     frozen = params.frozen()
     x = np.asarray(x, dtype=np.float64)
@@ -171,27 +174,41 @@ def perturb_batch(
     j_plus = _objective(frozen, x + d_plus, p_clean)[0]
     j_minus = _objective(frozen, x + d_minus, p_clean)[0]
     delta = np.where((j_plus >= j_minus)[:, None, None, None], d_plus, d_minus)
+    del draw, d_plus, d_minus
 
     fgsm = cfg.variant == "fgsm"
     steps, alpha = (1, eps) if fgsm else (cfg.k, cfg.step_size)
-    cand_deltas = np.empty((steps, *x.shape))
-    cand_objs = np.empty((steps, n))
+    best_delta = best_obj = None  # the running best over the iterates so far
     for t in range(steps):
+        # scores the previous step's iterate (at t = 0, the start)
         obj, grad, _ = _objective(frozen, x + delta, p_clean, grad=True)
-        if t > 0:
-            cand_objs[t - 1] = obj
+        if t == 1:
+            best_delta, best_obj = delta, obj
+        elif t > 1:
+            _keep_better(best_delta, best_obj, delta, obj)
         step = alpha * np.sign(grad)
+        del grad
         delta = _project(step if fgsm else delta + step, x, eps, mask_pix)
-        cand_deltas[t] = delta
-    cand_objs[-1], _, probs = _objective(params, x + delta, p_clean)
+        del step
+    obj, _, probs = _objective(params, x + delta, p_clean)
 
-    best = cand_objs.argmax(axis=0)
-    rows = np.arange(n)
-    if np.any(best < steps - 1):  # keep the returned graph at the returned delta
-        delta = cand_deltas[best, rows]
+    if best_delta is not None and not _keep_better(best_delta, best_obj, delta, obj).all():
+        delta, obj = best_delta, best_obj
         del probs  # free the last iterate's graph before building its replacement
-        probs = _objective(params, x + delta, p_clean)[2]
-    return delta, cand_objs[best, rows], probs
+        probs = _objective(params, x + delta, p_clean)[2]  # the graph at the returned delta
+    return delta, obj, probs
+
+
+def _keep_better(best_delta, best_obj, delta, obj) -> np.ndarray:
+    """Fold a later iterate (delta, obj) into the search's running best,
+    in place, by ``argmax``'s rule over the iterates in order: a row takes
+    the later iterate only if its objective is larger, or is NaN where the
+    best is not, so ties and later NaNs keep the earlier iterate. Returns
+    the rows it took."""
+    better = (obj > best_obj) | (np.isnan(obj) & ~np.isnan(best_obj))
+    np.copyto(best_delta, delta, where=better[:, None, None, None])
+    np.copyto(best_obj, obj, where=better)
+    return better
 
 
 def _single(params, x, y, cfg, mask, rng, expected_variant) -> Perturbation:

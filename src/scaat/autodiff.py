@@ -404,26 +404,22 @@ def _pool_max(x: np.ndarray, k: int) -> np.ndarray:
     return out
 
 
-def _route_first_max(
-    x: np.ndarray, out: np.ndarray, g: np.ndarray, k: int, dx: np.ndarray, relu: bool = False
-) -> np.ndarray:
-    """Write the gradient of ``out = _pool_max(x, k)`` for upstream ``g``
-    into ``dx``, an array of x's shape that may be x itself, and return it.
+def _first_max_code(x: np.ndarray, out: np.ndarray, k: int, relu: bool = False) -> np.ndarray:
+    """For ``out = _pool_max(x, k)``, the index of the view in
+    ``_pool_views(x, k)`` each window's gradient routes to, as ``uint8``.
 
-    Each window's gradient goes to the first view equal to its maximum (in
-    a NaN window, to its first NaN). With ``relu``, ``out`` is that maximum
-    clamped at 0, and a window clamped to 0 routes to its first slot, as
-    the all-zero tie of its ReLU'd values would. The views tile dx, and
-    each is written after its last read of x: g's bit pattern where hit,
-    all-zero bits (+0.0) elsewhere. This select is exact for every g,
-    where g * hit would give -0.0 for a negative g and NaN for an
-    infinite one.
+    That is the first view equal to the window's maximum, or in a NaN
+    window its first NaN. With ``relu``, ``out`` is that maximum clamped
+    at 0, and a window clamped to 0 routes to its first slot, as the
+    all-zero tie of its ReLU'd values would. A window's code counts the
+    views it passes while still unrouted, so every window that no earlier
+    view claims (it holds its maximum, or a NaN) ends at the last view.
     """
-    g_bits = g.view(np.int64)
     has_nan = bool(np.isnan(out).any())
-    views, dviews = _pool_views(x, k), _pool_views(dx.view(np.int64), k)
+    views = _pool_views(x, k)
     free = np.ones(out.shape, dtype=bool)  # windows not yet routed
-    for i, (v, dv) in enumerate(zip(views[:-1], dviews[:-1])):
+    code = np.zeros(out.shape, dtype=np.uint8)
+    for i, v in enumerate(views[:-1]):
         hit = v == out
         if relu and i == 0:
             hit |= out == 0.0
@@ -431,10 +427,21 @@ def _route_first_max(
             hit |= np.isnan(v)
         hit &= free
         free ^= hit
-        np.bitwise_and(g_bits, -hit.view(np.int8), out=dv)
-    # every window holds its maximum (or a NaN), so the windows still free
-    # route to the last view
-    np.bitwise_and(g_bits, -free.view(np.int8), out=dviews[-1])
+        code += free
+    return code
+
+
+def _route_code(code: np.ndarray, g: np.ndarray, k: int) -> np.ndarray:
+    """The gradient of a k x k max pool for upstream ``g``, routed by
+    ``_first_max_code``'s ``code``: g's bit pattern at each window's coded
+    slot, all-zero bits (+0.0) elsewhere. This select is exact for every
+    g, where g * hit would give -0.0 for a negative g and NaN for an
+    infinite one.
+    """
+    dx = np.empty((*code.shape[:2], code.shape[2] * k, code.shape[3] * k))
+    g_bits = g.view(np.int64)
+    for i, dv in enumerate(_pool_views(dx.view(np.int64), k)):
+        np.bitwise_and(g_bits, -(code == i).view(np.int8), out=dv)
     return dx
 
 
@@ -442,9 +449,10 @@ def max_pool2d(a: Tensor, k: int) -> Tensor:
     """Non-overlapping k x k max pooling; ties route to the first maximum
     in row-major window order, and a window holding a NaN pools to NaN."""
     out = _pool_max(a.data, k)
+    code = _first_max_code(a.data, out, k) if a.requires_grad else None
 
     def bwd(g):
-        a._accum(_route_first_max(a.data, out, g, k, np.empty(a.data.shape)))
+        a._accum(_route_code(code, g, k))
 
     return _make(out, (a,), bwd)
 
@@ -456,15 +464,19 @@ def conv2d_bias_relu_pool(a: Tensor, w: Tensor, b: Tensor, padding: int = 0, k: 
     The full-size pre-activation stays channel-major, (F, N, H, W), as the
     GEMM writes it, and the bias is added in place. The max commutes with
     the ReLU, so the ReLU clamps the pooled output, k*k times smaller,
-    which alone is transposed to NCHW. The graph keeps the pre-activation
-    and the pooled output; the backward routes its gradient into the
-    pre-activation's buffer, which it reads for the last time.
+    which alone is transposed to NCHW. The forward records each window's
+    routed slot as a ``uint8`` code, so the graph keeps the pooled output
+    and one byte per pooled element, not the pre-activation, plus the
+    unfold when the weights require grad.
     """
     act, cols = _conv2d_forward(a.data, w.data, padding)
     cols = cols if w.requires_grad else None  # only dW reads the unfold
     act += b.data.reshape(-1, 1, 1, 1)
     pooled = _pool_max(act, k)
     np.maximum(pooled, 0.0, out=pooled)
+    needs_grad = a.requires_grad or w.requires_grad or b.requires_grad
+    code = _first_max_code(act, pooled, k, relu=True) if needs_grad else None
+    del act
     out = _nchw(pooled)
 
     def bwd(g):
@@ -473,7 +485,7 @@ def conv2d_bias_relu_pool(a: Tensor, w: Tensor, b: Tensor, padding: int = 0, k: 
         # masking g at pooled size gives the same bits as masking the
         # routed gradient, whose other slots stay +0.0 either way.
         out_cm = out.swapaxes(0, 1)
-        gm = _route_first_max(act, out_cm, g.swapaxes(0, 1) * (out_cm > 0.0), k, act, relu=True)
+        gm = _route_code(code, g.swapaxes(0, 1) * (out_cm > 0.0), k)
         if b.requires_grad:
             # numpy's multi-axis sum order follows the layout, so the bias
             # sums an NCHW copy, as add's backward would; a (1, F, 1, 1) g

@@ -116,7 +116,9 @@ def integrated_gradients(
     if baseline.shape != x.shape:
         raise ValueError(f"baseline shape {baseline.shape} != input shape {x.shape}")
     alphas = (np.arange(steps) + 0.5) / steps
-    path = baseline[None] + alphas[:, None, None, None] * (x - baseline)[None]
+    # the path is (steps, *x.shape), so forward_eval rejects an input of
+    # the wrong shape as the other methods do
+    path = baseline + alphas.reshape(-1, *(1,) * x.ndim) * (x - baseline)
     grads = _input_grads_scores(params, path, np.full(steps, int(y)))[0]
     signed = (x - baseline) * grads.mean(axis=0)
     smap = SaliencyMap(_channel_reduce(signed[None])[0], method="integrated")

@@ -21,16 +21,32 @@ def fd_grad(f, x, h=1e-4):
     return g
 
 
-def kept_bytes(build):
+def _traced(build):
     """``build()``'s result and the bytes allocated during the call that
-    are still held when it returns, as tracemalloc counts them."""
+    are still held when it returns and at its peak, as tracemalloc counts
+    them."""
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
         out = build()
-        return out, tracemalloc.get_traced_memory()[0] - before
+        current, peak = tracemalloc.get_traced_memory()
+        return out, current - before, peak - before
     finally:
         tracemalloc.stop()
+
+
+def kept_bytes(build):
+    """``build()``'s result and the bytes allocated during the call that
+    are still held when it returns."""
+    out, kept, _ = _traced(build)
+    return out, kept
+
+
+def peak_bytes(build):
+    """``build()``'s result and the most bytes held at once during the
+    call by what it allocated."""
+    out, _, peak = _traced(build)
+    return out, peak
 
 
 def flip_every_bit(data: bytes, load, typed_error):

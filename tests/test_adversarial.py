@@ -375,6 +375,44 @@ class TestSingleLoop:
             for name, g in g_fresh.items():
                 assert g_reused[name].tobytes() == g.tobytes(), name
 
+    @pytest.mark.parametrize("arch", sorted(SEARCH_MODELS))
+    def test_running_best_keeps_argmax_ties_and_nans(self, arch, rng, monkeypatch):
+        # Scripted objectives, one column per row, one line per PGD-4
+        # iterate: equal values keep the earlier iterate, and a NaN beats
+        # any number, the first NaN kept, as argmax over the stack picks.
+        nan = np.nan
+        script = np.array([
+            [0.5, 0.1, 0.1, nan, 0.2, 0.4],
+            [0.5, 0.7, nan, nan, 0.3, 0.2],
+            [0.5, 0.7, 0.9, 0.3, 0.3, 0.4],
+            [0.5, 0.2, nan, 0.3, nan, 0.9],
+        ])
+        k, n = script.shape
+        spec = SEARCH_MODELS[arch]
+        params = init_model(spec)
+        x = rng.uniform(0, 1, (n, *spec.input_shape))
+        masks = rng.uniform(size=(n, spec.input_shape[1] * spec.input_shape[2])) < 0.6
+        inputs, objective = [], adversarial._objective
+
+        def scripted(params, x_adv, p_clean, grad=False):
+            js, g, probs = objective(params, x_adv, p_clean, grad)
+            inputs.append(x_adv)
+            # calls: two starts, then each step scores the iterate before it
+            # and the last call the final iterate; iterate t is call t + 3
+            t = len(inputs) - 4
+            return (script[t].copy() if 0 <= t < k else js), g, probs
+
+        monkeypatch.setattr(adversarial, "_objective", scripted)
+        cfg = AdvConfig(epsilon=0.1, k=k)
+        delta, obj, probs = perturb_batch(params, x, cfg, masks, seeds.stream(4, seeds.PGD), predict_proba(params, x))
+        best, rows = script.argmax(axis=0), np.arange(n)
+        assert best.tolist() == [0, 1, 1, 0, 3, 3]
+        np.testing.assert_array_equal(obj, script[best, rows])
+        iterates = np.stack(inputs[3 : 3 + k])
+        assert (x + delta).tobytes() == iterates[best, rows].tobytes()
+        assert inputs[-1].tobytes() == (x + delta).tobytes()
+        assert probs.data.tobytes() == softmax(forward_eval(params, x + delta)).data.tobytes()
+
 
 def grid_oracle(params, x, mask_idx, eps, grid=0.01):
     """Exhaustive search over one masked feature, the independent oracle."""

@@ -164,22 +164,21 @@ class TestConvBiasRelu:
     @pytest.mark.parametrize("fused", [False, True])
     def test_unfold_kept_only_for_dw(self, rng, fused):
         # only dW reads the unfold, so a node whose weights are frozen
-        # keeps its activations alone: the conv output, and for the fused
-        # node its pooled output too
+        # keeps its output alone: the conv output, or for the fused node
+        # its pooled output and one uint8 routing code per pooled element,
+        # with no pre-activation
         x = Tensor(rng.standard_normal((4, 3, 16, 16)), requires_grad=True)
         act_bytes, cols_bytes = 4 * 8 * 16 * 16 * 8, 27 * 4 * 16 * 16 * 8
         out_bytes = act_bytes // 4 if fused else act_bytes
-        acts = act_bytes + out_bytes if fused else act_bytes
+        acts = out_bytes + out_bytes // 8 if fused else act_bytes
         for w_grad in (False, True):
             w = Tensor(rng.standard_normal((8, 3, 3, 3)), requires_grad=w_grad)
             b = Tensor(np.zeros(8))
             op = (lambda: conv2d_bias_relu_pool(x, w, b, padding=1)) if fused else (lambda: conv2d(x, w, padding=1))
             out, kept = kept_bytes(op)
             assert out.data.nbytes == out_bytes
-            if w_grad:
-                assert kept >= acts + cols_bytes
-            else:
-                assert acts <= kept < acts + cols_bytes // 2
+            arrays = acts + cols_bytes if w_grad else acts
+            assert arrays <= kept < arrays + 2**12
 
     def test_pool_must_divide_conv_extents(self, rng):
         x, w, b = Tensor(rng.standard_normal((1, 1, 5, 5))), Tensor(np.ones((2, 1, 3, 3))), Tensor(np.zeros(2))

@@ -179,9 +179,10 @@ class TestGraphMemory:
 
     def sizes(self):
         n, (c, h, w), (c1, c2) = self.N, self.SPEC.input_shape, self.SPEC.channels
-        # conv1, pool1, conv2 and pool2 outputs, then fc's matmul and bias add
-        activations = 8 * n * (c1 * h * w + c1 * h * w // 4 + c2 * h * w // 4 + c2 * h * w // 16
-                               + 2 * self.SPEC.n_classes)
+        pooled = n * (c1 * h * w // 4 + c2 * h * w // 16)
+        # both blocks' pooled float64 outputs and one uint8 routing code per
+        # pooled element (no pre-activation), then fc's matmul and bias add
+        activations = 8 * pooled + pooled + 8 * n * 2 * self.SPEC.n_classes
         unfolds = 8 * n * 9 * (c * h * w + c1 * h * w // 4)
         return activations, unfolds
 

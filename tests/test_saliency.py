@@ -127,10 +127,10 @@ class TestIntegratedGradients:
     def test_linear_model_exact_and_steps_independent(self, rng):
         w = rng.standard_normal((4, 3))
         params = linear_model(w)
-        x = rng.uniform(0.1, 1, 4)
-        expected = np.abs(w[:, 2] * x).reshape(1, 4)
+        x = rng.uniform(0.1, 1, (1, 1, 4))
+        expected = np.abs(w[:, 2] * x[0, 0]).reshape(1, 4)
         for steps in (1, 7, 64):
-            smap = integrated_gradients(params, x, 2, baseline=np.zeros(4), steps=steps)
+            smap = integrated_gradients(params, x, 2, baseline=np.zeros((1, 1, 4)), steps=steps)
             np.testing.assert_allclose(smap.values, expected, rtol=1e-12)
 
     def test_completeness_on_cnn(self, rng):
@@ -141,6 +141,17 @@ class TestIntegratedGradients:
         _, signed = integrated_gradients(params, x, 1, baseline, steps=128, return_signed=True)
         delta = scores_np(params, x)[1] - scores_np(params, baseline)[1]
         assert abs(signed.sum() - delta) <= 0.01 * abs(delta)
+
+    def test_flat_input_rejected_like_other_methods(self):
+        params = linear_model(np.eye(4)[:, :3])  # a (1, 1, 4) model
+        x = np.full(4, 0.5)
+        for saliency in (
+            lambda: vanilla_gsmap(params, x, 0),
+            lambda: smooth_grad(params, x, 0, n_samples=2, sigma=0.1, rng=0),
+            lambda: integrated_gradients(params, x, 0, baseline=np.zeros(4), steps=4),
+        ):
+            with pytest.raises(ValueError, match="shape mismatch"):
+                saliency()
 
     def test_baseline_shape_check(self):
         params = linear_model(np.eye(2))

@@ -19,7 +19,7 @@ from scaat.training import (
     scaat_train,
     update_q,
 )
-from conftest import linear_model
+from conftest import linear_model, peak_bytes
 
 
 def qstate(**kw):
@@ -384,3 +384,15 @@ class TestOneGraphLive:
         monkeypatch.setattr(adversarial, "_objective", tracked_objective)
         scaat_train(data, ALPHA3_CNN, cfg)
         assert rescored and all(rescored)
+
+
+def test_pgd4_iteration_peak_memory():
+    # one batch-64 adaptive PGD-4 iteration of the gate's CNN peaks at
+    # about 52.2 MiB, while the loss builds its trainable graph (34.9 MiB)
+    # over the search's live state; pooled nodes that kept their
+    # pre-activations and a search that stacked every iterate read 66.5
+    spec = ModelSpec("cnn", (3, 32, 32), 10, channels=(16, 32), seed=0)
+    data = generate_half_informative(n=64, size=32, channels=3, classes=10, seed=0)
+    cfg = tiny_cfg(batch_size=64, n_iter=1, adv=AdvConfig(epsilon=8 / 255, k=4), warmup_iters=0)
+    _, peak = peak_bytes(lambda: scaat_train(data, spec, cfg))
+    assert peak < 56 * 2**20
