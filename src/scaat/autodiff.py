@@ -141,7 +141,7 @@ def _toposort(root: Tensor) -> list[Tensor]:
         seen.add(id(node))
         stack.append((node, True))
         for p in node._parents:
-            if p.requires_grad and id(p) not in seen:
+            if id(p) not in seen:
                 stack.append((p, False))
     order.reverse()
     return order
@@ -160,17 +160,15 @@ def backward_grad(loss: Tensor, leaves: Sequence[Tensor]) -> list[np.ndarray]:
 
 
 def _make(data: np.ndarray, parents: tuple[Tensor, ...], backward) -> Tensor:
+    """A node holding ``data``; it keeps only the parents that require
+    grad, the only ones a sweep visits, and its backward only if any do."""
     out = Tensor.__new__(Tensor)
     out.data = data
-    out.requires_grad = any(p.requires_grad for p in parents)
     out.grad = None
     out._consumed = False
-    if out.requires_grad:
-        out._parents = parents
-        out._backward = backward
-    else:
-        out._parents = ()
-        out._backward = None
+    out._parents = tuple(p for p in parents if p.requires_grad)
+    out.requires_grad = bool(out._parents)
+    out._backward = backward if out.requires_grad else None
     return out
 
 
@@ -351,35 +349,51 @@ def _nchw(x: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(x.swapaxes(0, 1))
 
 
-def _conv2d_backward(gm: np.ndarray, a: Tensor, w: Tensor, cols, padding: int) -> None:
-    """Both conv gradients from the channel-major output gradient ``gm``,
-    (F, N, Ho, Wo) and contiguous."""
-    f, c, kh, kw = w.data.shape
-    n, _, h, wd = a.data.shape
+def _conv2d_dw(gm: np.ndarray, cols: np.ndarray, w_shape) -> np.ndarray:
+    """The filter gradient, (F, C, kh, kw), from the channel-major output
+    gradient ``gm``, (F, N, Ho, Wo) and contiguous, and the unfold."""
+    f, c, kh, kw = w_shape
+    dwm = gm.reshape(f, -1) @ cols.T
+    return np.ascontiguousarray(dwm.reshape(f, kh, kw, c).transpose(0, 3, 1, 2))
+
+
+def _conv2d_dx(gm: np.ndarray, w: np.ndarray, x_shape, padding: int) -> np.ndarray:
+    """The input gradient, NCHW, from the channel-major output gradient
+    ``gm``: per kernel offset, one transposed GEMM scatter-added into the
+    padded input buffer."""
+    f, c, kh, kw = w.shape
+    n, _, h, wd = x_shape
     _, _, ho, wo = gm.shape
     gm = gm.reshape(f, n * ho * wo)
-    if w.requires_grad:
-        dwm = gm @ cols.T
-        w._accum(np.ascontiguousarray(dwm.reshape(f, kh, kw, c).transpose(0, 3, 1, 2)))
-    if a.requires_grad:
-        # per kernel offset, one transposed GEMM scatter-added into the
-        # padded input buffer
-        dxq = np.zeros((c, n, h + 2 * padding, wd + 2 * padding))
-        for dy in range(kh):
-            for dx in range(kw):
-                wk = np.ascontiguousarray(w.data[:, :, dy, dx])
-                contrib = (wk.T @ gm).reshape(c, n, ho, wo)
-                dxq[:, :, dy : dy + ho, dx : dx + wo] += contrib
-        a._accum(_nchw(dxq[:, :, padding : padding + h, padding : padding + wd]))
+    dxq = np.zeros((c, n, h + 2 * padding, wd + 2 * padding))
+    for dy in range(kh):
+        for dx in range(kw):
+            wk = np.ascontiguousarray(w[:, :, dy, dx])
+            contrib = (wk.T @ gm).reshape(c, n, ho, wo)
+            dxq[:, :, dy : dy + ho, dx : dx + wo] += contrib
+    return _nchw(dxq[:, :, padding : padding + h, padding : padding + wd])
 
 
 def conv2d(a: Tensor, w: Tensor, padding: int = 0) -> Tensor:
-    """Stride-1 cross-correlation of (N,C,H,W) input with (F,C,kh,kw) filters."""
+    """Stride-1 cross-correlation of (N,C,H,W) input with (F,C,kh,kw) filters.
+
+    The node keeps the unfold only when the weights require grad, and
+    drops it once the backward has taken dW, before dX; it keeps the
+    input only when the input requires grad.
+    """
     out, cols = _conv2d_forward(a.data, w.data, padding)
     cols = cols if w.requires_grad else None  # only dW reads the unfold
+    x_shape = a.data.shape
+    a_kept = a if a.requires_grad else None
 
     def bwd(g):
-        _conv2d_backward(_nchw(g), a, w, cols, padding)
+        nonlocal cols
+        gm = _nchw(g)
+        if cols is not None:
+            w._accum(_conv2d_dw(gm, cols, w.data.shape))
+            cols = None  # dW was the unfold's last read: a graph is swept once
+        if a_kept is not None:
+            a_kept._accum(_conv2d_dx(gm, w.data, x_shape, padding))
 
     return _make(_nchw(out), (a, w), bwd)
 
@@ -467,7 +481,10 @@ def conv2d_bias_relu_pool(a: Tensor, w: Tensor, b: Tensor, padding: int = 0, k: 
     which alone is transposed to NCHW. The forward records each window's
     routed slot as a ``uint8`` code, so the graph keeps the pooled output
     and one byte per pooled element, not the pre-activation, plus the
-    unfold when the weights require grad.
+    unfold when the weights require grad, and the input only when it
+    requires grad. The backward routes the gradient, takes dW and drops
+    the unfold, then sums the bias gradient and takes dX, so the unfold
+    is never held beside dX's buffers.
     """
     act, cols = _conv2d_forward(a.data, w.data, padding)
     cols = cols if w.requires_grad else None  # only dW reads the unfold
@@ -478,21 +495,28 @@ def conv2d_bias_relu_pool(a: Tensor, w: Tensor, b: Tensor, padding: int = 0, k: 
     code = _first_max_code(act, pooled, k, relu=True) if needs_grad else None
     del act
     out = _nchw(pooled)
+    x_shape = a.data.shape
+    a_kept = a if a.requires_grad else None
 
     def bwd(g):
+        nonlocal cols
         # A routed slot holds its window's maximum, so its ReLU passes
         # gradient exactly where the pooled value is > 0 (NaN fails both);
         # masking g at pooled size gives the same bits as masking the
         # routed gradient, whose other slots stay +0.0 either way.
         out_cm = out.swapaxes(0, 1)
         gm = _route_code(code, g.swapaxes(0, 1) * (out_cm > 0.0), k)
+        if cols is not None:
+            w._accum(_conv2d_dw(gm, cols, w.data.shape))
+            cols = None  # dW was the unfold's last read: a graph is swept once
         if b.requires_grad:
             # numpy's multi-axis sum order follows the layout, so the bias
             # sums an NCHW copy, as add's backward would; a (1, F, 1, 1) g
             # is passed on unsummed, which keeps a lone -0.0
             g_b = _unbroadcast(_nchw(gm), (1, gm.shape[0], 1, 1))
             b._accum(g_b.reshape(b.data.shape))
-        _conv2d_backward(gm, a, w, cols, padding)
+        if a_kept is not None:
+            a_kept._accum(_conv2d_dx(gm, w.data, x_shape, padding))
 
     return _make(out, (a, w, b), bwd)
 

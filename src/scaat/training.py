@@ -9,9 +9,12 @@ softmaxes. The JS term's adversarial branch is swept first, on the
 softmax graph the search returns at the chosen perturbation and against
 the clean softmax's bits; only then does the loss build its clean
 forward, so one trainable graph is alive at a time and no adversarial
-forward is repeated. The per-sample perturbation
-proportion q_i moves by +/-gamma depending on whether the perturbed
-sample kept its label, frozen during warm-up and clamped to bounds.
+forward is repeated. Nothing a sweep does not read is held across it:
+the saliency maps go once the masks exist, the search's perturbation is
+not kept, and the batch goes once the loss has built its graph. The
+per-sample perturbation proportion q_i moves by +/-gamma depending on
+whether the perturbed sample kept its label, frozen during warm-up and
+clamped to bounds.
 """
 
 from __future__ import annotations
@@ -206,10 +209,11 @@ def scaat_train(dataset, spec: ModelSpec, cfg: TrainConfig) -> TrainResult:
         if adversarial_mode:
             maps, clean_scores = batch_gsmap_scores(params, x, y)
             masks = lowest_masks(region_mean(maps, region), qstate.q[idx])
+            del maps
             p_clean = softmax_np(clean_scores, axis=-1)
-            _, adv_objective, probs_adv = perturb_batch(
+            adv_objective, probs_adv = perturb_batch(
                 params, x, cfg.adv, masks, rng_pgd, p_clean=p_clean
-            )
+            )[1:]
             if adaptive:
                 adv_correct = probs_adv.data.argmax(axis=1) == y
                 for j, sample in enumerate(idx):
@@ -220,6 +224,7 @@ def scaat_train(dataset, spec: ModelSpec, cfg: TrainConfig) -> TrainResult:
             probs_adv = _sweep_adv_branch(probs_adv, p_clean, cfg.lam)
 
         loss, ce_vals, score_vals = _batch_loss(params, x, probs_adv, y, cfg.lam)
+        del x  # no backward reads the batch
         if not np.isfinite(loss.data):
             raise TrainingDiverged(f"non-finite loss at iteration {iteration}")
         loss.backward()

@@ -1,8 +1,10 @@
 import math
+import weakref
 
 import numpy as np
 import pytest
 
+from scaat import autodiff
 from scaat.autodiff import (
     Tensor,
     backward_grad,
@@ -179,6 +181,44 @@ class TestConvBiasRelu:
             assert out.data.nbytes == out_bytes
             arrays = acts + cols_bytes if w_grad else acts
             assert arrays <= kept < arrays + 2**12
+
+    @pytest.mark.parametrize("fused", [False, True])
+    def test_unfold_freed_before_dx(self, rng, monkeypatch, fused):
+        # dW is the unfold's last read, so the backward drops it before
+        # the input-gradient part allocates its padded buffer
+        unfolds, dead_at_dx = [], []
+        unfold, conv2d_dx = autodiff._unfold, autodiff._conv2d_dx
+
+        def tracked_unfold(*args):
+            out = unfold(*args)
+            unfolds.append(weakref.ref(out[0]))
+            return out
+
+        def checked_dx(*args):
+            dead_at_dx.append(unfolds[-1]() is None)
+            return conv2d_dx(*args)
+
+        monkeypatch.setattr(autodiff, "_unfold", tracked_unfold)
+        monkeypatch.setattr(autodiff, "_conv2d_dx", checked_dx)
+        x, w, b = (Tensor(rng.standard_normal(s), requires_grad=True) for s in ((2, 3, 8, 8), (4, 3, 3, 3), (4,)))
+        out = conv2d_bias_relu_pool(x, w, b, padding=1) if fused else conv2d(x, w, padding=1)
+        assert unfolds[-1]() is not None  # held for dW
+        tsum(out).backward()
+        assert dead_at_dx == [True]
+        assert x.grad is not None and w.grad is not None
+
+    @pytest.mark.parametrize("fused", [False, True])
+    def test_graph_keeps_no_input_without_grad(self, rng, fused):
+        # a trainable node keeps the shape of an input it sends no
+        # gradient, not the input, so dropping the input frees it
+        x = rng.standard_normal((2, 3, 8, 8))
+        ref = weakref.ref(x)
+        w, b = Tensor(rng.standard_normal((4, 3, 3, 3)), requires_grad=True), Tensor(np.ones(4), requires_grad=True)
+        out = conv2d_bias_relu_pool(Tensor(x), w, b, padding=1) if fused else conv2d(Tensor(x), w, padding=1)
+        del x
+        assert ref() is None
+        tsum(out).backward()
+        assert w.grad is not None
 
     def test_pool_must_divide_conv_extents(self, rng):
         x, w, b = Tensor(rng.standard_normal((1, 1, 5, 5))), Tensor(np.ones((2, 1, 3, 3))), Tensor(np.zeros(2))

@@ -99,6 +99,20 @@ class TestIdx:
             assert all(isinstance(o, (Dataset, LabelRangeError)) for o in outcomes[8 * header :])
 
     @pytest.mark.parametrize("which", ["images", "labels"])
+    def test_every_cut_point_raises(self, tmp_path, rng, which):
+        # the header fixes the record count, so every proper prefix of
+        # either file, header or data, is a truncation
+        img_path, lbl_path = write_idx_pair(tmp_path, rng.integers(0, 256, (3, 4, 5), dtype=np.uint8), [0, 1, 2])
+        path = img_path if which == "images" else lbl_path
+        header = 16 if which == "images" else 8
+        blob = path.read_bytes()
+        for cut in range(len(blob)):
+            path.write_bytes(blob[:cut])
+            part = "header" if cut < header else "data"
+            with pytest.raises(TruncatedFileError, match=f"idx {which[:-1]} {part}: expected"):
+                load_idx(img_path, n_classes=3)
+
+    @pytest.mark.parametrize("which", ["images", "labels"])
     def test_trailing_byte(self, tmp_path, which):
         img_path, lbl_path = write_idx_pair(tmp_path, np.zeros((2, 3, 3), dtype=np.uint8), [0, 1])
         path = img_path if which == "images" else lbl_path
@@ -150,6 +164,46 @@ class TestCifarBinary:
         labels = [o.labels[0] if isinstance(o, Dataset) else None for o in outcomes[:8]]
         assert labels == [rec[0, 0] ^ (1 << b) if rec[0, 0] ^ (1 << b) < 10 else None for b in range(8)]
         assert all(isinstance(o, Dataset) for o in outcomes[8:])
+
+
+    def test_every_cut_point_loads_a_prefix_or_raises(self, tmp_path):
+        # a cut on a record boundary is a shorter batch of whole records
+        path, rec = self.make_batch(tmp_path, n=2)
+        blob = path.read_bytes()
+        loaded = []
+        for cut in range(len(blob)):
+            path.write_bytes(blob[:cut])
+            try:
+                ds = load_cifar_binary(path)
+            except TruncatedFileError:
+                continue
+            loaded.append(cut)
+            np.testing.assert_array_equal(ds.labels, rec[: len(ds), 0])
+            np.testing.assert_allclose(ds.images.reshape(len(ds), -1), rec[: len(ds), 1:] / 255.0)
+        assert loaded == [3073]
+
+    def test_every_label_bit_flip_loads_or_raises(self, tmp_path):
+        # the label byte heading each record of a three-record batch: a
+        # flip loads that record's changed label, or one past the classes
+        # raises
+        path, rec = self.make_batch(tmp_path, n=3)
+        blob = rec.tobytes()
+        labels = rec[:, 0].astype(np.int64)
+        for r in range(3):
+            at = 3073 * r
+
+            def load(label):
+                path.write_bytes(blob[:at] + label + blob[at + 1 :])
+                return load_cifar_binary(path)
+
+            outcomes = flip_every_bit(blob[at : at + 1], load, DataFormatError)
+            for bit, o in enumerate(outcomes):
+                want = labels.copy()
+                want[r] ^= 1 << bit
+                if want[r] < 10:
+                    np.testing.assert_array_equal(o.labels, want)
+                else:
+                    assert isinstance(o, LabelRangeError)
 
 
 class TestSynthetic:

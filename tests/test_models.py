@@ -1,5 +1,6 @@
 import math
 import re
+import weakref
 
 import numpy as np
 import pytest
@@ -198,6 +199,18 @@ class TestGraphMemory:
         x = rng.uniform(0, 1, (self.N, *self.SPEC.input_shape))
         activations, unfolds = self.sizes()
         assert activations + unfolds <= self.graph_bytes(params, x) <= activations + unfolds + 2**20
+
+    def test_trainable_graph_keeps_no_batch(self, rng):
+        # the training loss's clean graph: no backward reads the batch, so
+        # the graph does not keep it once the caller drops it
+        params = init_model(self.SPEC)
+        x = rng.uniform(0, 1, (self.N, *self.SPEC.input_shape))
+        ref = weakref.ref(x)
+        scores = forward_eval(params, x)
+        del x
+        assert ref() is None
+        tsum(scores).backward()
+        assert all(t.grad is not None for _, t in params.items())
 
 
 class TestPredictProba:

@@ -386,13 +386,31 @@ class TestOneGraphLive:
         assert rescored and all(rescored)
 
 
-def test_pgd4_iteration_peak_memory():
-    # one batch-64 adaptive PGD-4 iteration of the gate's CNN peaks at
-    # about 52.2 MiB, while the loss builds its trainable graph (34.9 MiB)
-    # over the search's live state; pooled nodes that kept their
-    # pre-activations and a search that stacked every iterate read 66.5
+def _gate_iteration_peak(**kw) -> int:
+    """tracemalloc peak of one batch-64 iteration of the gate's CNN."""
     spec = ModelSpec("cnn", (3, 32, 32), 10, channels=(16, 32), seed=0)
     data = generate_half_informative(n=64, size=32, channels=3, classes=10, seed=0)
-    cfg = tiny_cfg(batch_size=64, n_iter=1, adv=AdvConfig(epsilon=8 / 255, k=4), warmup_iters=0)
-    _, peak = peak_bytes(lambda: scaat_train(data, spec, cfg))
-    assert peak < 56 * 2**20
+    cfg = tiny_cfg(batch_size=64, n_iter=1, warmup_iters=0, **kw)
+    return peak_bytes(lambda: scaat_train(data, spec, cfg))[1]
+
+
+def test_pgd4_iteration_peak_memory():
+    # one adaptive PGD-4 iteration peaks at about 45.8 MiB, in the
+    # search's final trainable forward, over x, x + delta and the search's
+    # current and best perturbations; it read 52.2 MiB in the first
+    # trainable sweep's conv2 backward while both convs' unfolds were
+    # still held, and 66.5 with pooled nodes that kept their
+    # pre-activations and a search that stacked every iterate
+    assert _gate_iteration_peak(adv=AdvConfig(epsilon=8 / 255, k=4)) < 49 * 2**20
+
+
+def test_fgsm_iteration_peak_memory():
+    # about 44.3 MiB, in the search's final trainable forward; 52.2 while
+    # a conv backward still held an unfold that dW had already read
+    assert _gate_iteration_peak(adv=AdvConfig(epsilon=8 / 255, variant="fgsm")) < 48 * 2**20
+
+
+def test_regular_iteration_peak_memory():
+    # about 41.8 MiB, in the loss's backward sweep; 48.6 while conv2's
+    # backward still held both convs' unfolds and the graph the batch
+    assert _gate_iteration_peak(mode="regular") < 45 * 2**20
