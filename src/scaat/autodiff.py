@@ -357,10 +357,78 @@ def _conv2d_dw(gm: np.ndarray, cols: np.ndarray, w_shape) -> np.ndarray:
     return np.ascontiguousarray(dwm.reshape(f, kh, kw, c).transpose(0, 3, 1, 2))
 
 
+DX_CHUNK = 16  # samples per stacked GEMM of the conv input gradient
+
+
+def _stacks_exactly(w: np.ndarray, padding: int) -> bool:
+    """Whether ``_conv2d_dx_stacked`` gives ``_conv2d_dx_per_offset``'s
+    bits, as a property test over this domain shows on OpenBLAS's Haswell
+    kernels: 3x3 kernels, padding 1, at least two input channels and
+    finite weights. With one input channel OpenBLAS runs the per-offset
+    product as a GEMV, which rounds differently; a non-finite weight
+    turns the stacked product's padding terms from exact zeros into NaN."""
+    _, c, kh, kw = w.shape
+    return (kh, kw, padding) == (3, 3, 1) and c >= 2 and bool(np.isfinite(w).all())
+
+
 def _conv2d_dx(gm: np.ndarray, w: np.ndarray, x_shape, padding: int) -> np.ndarray:
     """The input gradient, NCHW, from the channel-major output gradient
-    ``gm``: per kernel offset, one transposed GEMM scatter-added into the
-    padded input buffer."""
+    ``gm``, (F, N, Ho, Wo) and contiguous: stacked per chunk of samples
+    where that is exact, per kernel offset elsewhere."""
+    if _stacks_exactly(w, padding):
+        return _conv2d_dx_stacked(gm, w, x_shape, padding)
+    return _conv2d_dx_per_offset(gm, w, x_shape, padding)
+
+
+def _conv2d_dx_stacked(gm: np.ndarray, w: np.ndarray, x_shape, padding: int) -> np.ndarray:
+    """``_conv2d_dx`` per chunk of ``DX_CHUNK`` samples.
+
+    The chunk's ``gm`` is laid on the padded input grid, zero outside
+    its (Ho, Wo) corner, so one GEMM of the stacked transposed kernels,
+    rows (dy, dx, c), gives each kernel offset's terms at a flat shift of
+    ``dy * Wp + dx`` from their input element. The fold then adds one
+    contiguous run per offset and channel, in (dy, dx) order, into a
+    zeroed padded buffer, and the cropped, transposed buffer is copied
+    into the output. The terms from the grid's zero padding are exact
+    zeros for finite weights, and adding a zero never changes a sum that
+    starts at +0.0, so each input element gets the per-offset kernel's
+    bits. All three buffers are the size of a chunk and reused across
+    chunks.
+    """
+    f, c, kh, kw = w.shape
+    n, _, h, wd = x_shape
+    _, _, ho, wo = gm.shape
+    hp, wp = h + 2 * padding, wd + 2 * padding
+    wt = np.ascontiguousarray(_kernel_matrix(w).T)
+    dx_out = np.empty(x_shape)
+    nb = min(n, DX_CHUNK)
+    grid_buf = np.zeros(f * nb * hp * wp)
+    prod_buf = np.empty(kh * kw * c * nb * hp * wp)
+    pad_buf = np.empty(c * nb * hp * wp)
+    for s in range(0, n, DX_CHUNK):
+        m = min(DX_CHUNK, n - s)
+        size = m * hp * wp
+        grid = grid_buf[: f * size].reshape(f, m, hp, wp)
+        if m < nb:
+            grid.fill(0.0)  # a shorter chunk's layout puts earlier values in its padding
+        grid[:, :, :ho, :wo] = gm[:, s : s + m]
+        prod = prod_buf[: kh * kw * c * size].reshape(kh * kw * c, size)
+        np.matmul(wt, grid.reshape(f, size), out=prod)
+        prod = prod.reshape(kh, kw, c, size)
+        dxq = pad_buf[: c * size].reshape(c, size)
+        dxq.fill(0.0)
+        for dy in range(kh):
+            for dx in range(kw):
+                shift = dy * wp + dx
+                dxq[:, shift:] += prod[dy, dx, :, : size - shift]
+        dxq = dxq.reshape(c, m, hp, wp)
+        np.copyto(dx_out[s : s + m], dxq[:, :, padding : padding + h, padding : padding + wd].swapaxes(0, 1))
+    return dx_out
+
+
+def _conv2d_dx_per_offset(gm: np.ndarray, w: np.ndarray, x_shape, padding: int) -> np.ndarray:
+    """``_conv2d_dx`` for the whole batch: per kernel offset, one
+    transposed GEMM scatter-added into the padded input buffer."""
     f, c, kh, kw = w.shape
     n, _, h, wd = x_shape
     _, _, ho, wo = gm.shape

@@ -63,12 +63,19 @@ class RunConfig:
     seed: int = 0
 
     def with_seed(self, seed: int) -> "RunConfig":
+        _check_seed(seed)
         return replace(
             self,
             seed=seed,
             model=replace(self.model, seed=seed),
             train=replace(self.train, seed=seed),
         )
+
+
+def _check_seed(seed: int) -> None:
+    # seeds.stream draws from seeds >= 0 only
+    if seed < 0:
+        raise ConfigError(f"seed: must be >= 0, got {seed}")
 
 
 # Document section -> the dataclass it holds. Inside a section every
@@ -159,6 +166,7 @@ def run_config_from_dict(doc: dict) -> RunConfig:
         )
     _check_keys(doc, ("schema", "seed", "out_dir", *_SECTIONS), "run config", "")
     seed = _coerce(int, doc.get("seed", RunConfig.seed), "seed")
+    _check_seed(seed)
     out_dir = _coerce(str, doc.get("out_dir", RunConfig.out_dir), "out_dir")
     sections = []
     for name, cls in _SECTIONS.items():

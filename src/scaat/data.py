@@ -251,6 +251,8 @@ def generate_half_informative(
         ("noise", noise, 0.0 <= noise <= 0.5, "in [0, 0.5]"),
         # the shifted background is clipped: at 1 it is the bare texture
         ("spurious", spurious, 0.0 <= spurious <= 1.0, "in [0, 1]"),
+        ("seed", seed, seed >= 0, ">= 0"),
+        ("task", task_seed, task_seed >= 0, ">= 0"),
     ):
         if not ok:
             raise DataFormatError(f"synthetic spec key {key!r}: must be {rule}, got {value!r}")

@@ -226,6 +226,88 @@ class TestConvBiasRelu:
             conv2d_bias_relu_pool(x, w, b, padding=1)
 
 
+def routed_gradient(rng, shape):
+    """A conv output gradient as a pool routes it, (F, N, Ho, Wo): three
+    in four entries are zeros, a fifth of those -0.0, and each sample
+    holds one each of inf, -inf and NaN."""
+    f, n, ho, wo = shape
+    g = rng.standard_normal(shape)
+    zero = rng.random(shape) < 0.75
+    g[zero] = np.where(rng.random(shape) < 0.2, -0.0, 0.0)[zero]
+    for value in (np.inf, -np.inf, np.nan):
+        g[rng.integers(0, f, n), np.arange(n), rng.integers(0, ho, n), rng.integers(0, wo, n)] = value
+    return g
+
+
+def conv_dx_pair(gm, w, x_shape):
+    """``_conv2d_dx``'s result and the per-offset kernel's, its oracle,
+    as bit patterns."""
+    with np.errstate(invalid="ignore"):  # inf - inf in the sums
+        got = autodiff._conv2d_dx(gm, w, x_shape, 1)
+        want = autodiff._conv2d_dx_per_offset(gm, w, x_shape, 1)
+    return got.view(np.int64), want.view(np.int64)
+
+
+class TestConvInputGradient:
+    BATCHES = (1, 2, 3, 16, 17, 50, 64, 65)  # around and across DX_CHUNK
+
+    @pytest.mark.parametrize("f", [1, 16, 32])
+    @pytest.mark.parametrize("c", [2, 3, 16])
+    @pytest.mark.parametrize("h", [4, 5, 7, 8, 12, 14, 16, 20, 28, 32])
+    def test_stacked_matches_per_offset_bitwise(self, rng, h, c, f):
+        # the stacked path's whole domain: 3x3 kernels, padding 1, at
+        # least two input channels, finite weights; Ho*Wo need not be a
+        # multiple of 8 (14 x 14 is the conv2 of a 28 x 28 IDX input)
+        w = rng.standard_normal((f, c, 3, 3))
+        full = routed_gradient(rng, (f, max(self.BATCHES), h, h))
+        assert autodiff._stacks_exactly(w, 1)
+        for n in self.BATCHES:
+            got, want = conv_dx_pair(np.ascontiguousarray(full[:, :n]), w, (n, c, h, h))
+            np.testing.assert_array_equal(got, want, err_msg=f"batch {n}")
+
+    @pytest.mark.parametrize("h", [14, 16, 28])
+    def test_one_channel_takes_per_offset_path(self, rng, monkeypatch, h):
+        # with one input channel OpenBLAS runs the per-offset product as
+        # a GEMV, which the stacked GEMM does not reproduce
+        per_offset, calls = autodiff._conv2d_dx_per_offset, []
+
+        def counted(*args):
+            calls.append(args[2])
+            return per_offset(*args)
+
+        monkeypatch.setattr(autodiff, "_conv2d_dx_per_offset", counted)
+        w = rng.standard_normal((16, 1, 3, 3))
+        stacked_differs = []
+        for n in (3, 17, 65):
+            gm = routed_gradient(rng, (16, n, h, h))
+            got, want = conv_dx_pair(gm, w, (n, 1, h, h))
+            np.testing.assert_array_equal(got, want)
+            with np.errstate(invalid="ignore"):
+                stacked = autodiff._conv2d_dx_stacked(gm, w, (n, 1, h, h), 1).view(np.int64)
+            stacked_differs.append(not np.array_equal(stacked, want))
+        assert calls == [(n, 1, h, h) for n in (3, 3, 17, 17, 65, 65)]
+        assert any(stacked_differs)
+
+    @pytest.mark.parametrize("value", [np.inf, np.nan])
+    def test_non_finite_weight_takes_per_offset_path(self, rng, value):
+        # the stacked product's padding terms are w @ 0: NaN once a
+        # weight is not finite, where the per-offset kernel adds nothing
+        w = rng.standard_normal((16, 3, 3, 3))
+        w[0, 1, 0, 0] = value
+        gm = routed_gradient(rng, (16, 4, 8, 8))
+        assert not autodiff._stacks_exactly(w, 1)
+        got, want = conv_dx_pair(gm, w, (4, 3, 8, 8))
+        np.testing.assert_array_equal(got, want)
+        with np.errstate(invalid="ignore"):
+            stacked = autodiff._conv2d_dx_stacked(gm, w, (4, 3, 8, 8), 1).view(np.int64)
+        assert not np.array_equal(stacked, want)
+
+    def test_kernel_size_and_padding_outside_domain(self):
+        assert autodiff._stacks_exactly(np.ones((16, 3, 3, 3)), 1)
+        for w_shape, padding in (((16, 3, 3, 3), 0), ((16, 3, 5, 5), 2), ((16, 3, 1, 1), 0)):
+            assert not autodiff._stacks_exactly(np.ones(w_shape), padding)
+
+
 def argmax_pool(x, g, k):
     """Oracle pool: each k x k window transposed into a row, its first
     maximum taken by argmax, and g scattered back to that position."""

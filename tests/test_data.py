@@ -231,14 +231,15 @@ class TestSynthetic:
         [("ratios=1.5", "'ratios'"), ("ratios=-0.5", "'ratios'"), ("ratios=0.25:0.999", "'ratios'"),
          ("n=-1", "'n'"), ("size=0", "'size'"), ("classes=0", "'classes'"), ("channels=0", "'channels'"),
          ("amp=-0.01", "'amp'"), ("amp=nan", "'amp'"), ("noise=-0.01", "'noise'"), ("noise=0.51", "'noise'"),
-         ("spurious=-0.01", "'spurious'"), ("spurious=1.01", "'spurious'")],
+         ("spurious=-0.01", "'spurious'"), ("spurious=1.01", "'spurious'"), ("seed=-1", "'seed'"),
+         ("task=-1", "'task'")],
     )
     def test_spec_rejects_out_of_range(self, entry, key):
         # 0.999 rounds to all 64 pixels of an 8x8 image: an empty patch
         with pytest.raises(DataFormatError, match=f"synthetic spec key {key}: must be"):
             load_dataset(f"half-informative,n=4,size=8,{entry}", "synthetic-spec")
 
-    @pytest.mark.parametrize("key, value", [("ratios", (1.5,)), ("ratios", ()), ("n", -1), ("noise", 0.7)])
+    @pytest.mark.parametrize("key, value", [("ratios", (1.5,)), ("ratios", ()), ("n", -1), ("noise", 0.7), ("seed", -1)])
     def test_generator_rejects_out_of_range(self, key, value):
         with pytest.raises(DataFormatError, match=f"synthetic spec key '{key}': must be"):
             generate_half_informative(**{"n": 4, "size": 8, key: value})

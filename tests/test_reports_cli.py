@@ -176,6 +176,10 @@ class TestRunConfig:
         cfg = tiny_run_config(tmp_path).with_seed(7)
         assert cfg.model.seed == 7 and cfg.train.seed == 7
 
+    def test_negative_seed_override_rejected(self, tmp_path):
+        with pytest.raises(ConfigError, match="seed: must be >= 0, got -1"):
+            tiny_run_config(tmp_path).with_seed(-1)
+
     def test_every_design_tunable_is_in_config(self, tmp_path):
         doc = run_config_to_dict(tiny_run_config(tmp_path))
         train_keys = {
@@ -335,6 +339,7 @@ class TestCli:
             pytest.param(lambda d: d.update(model=[]), "model: expected a JSON object", id="list-section"),
             pytest.param(lambda d: d["train"].update(lamda=3), "unknown key train.lamda", id="typo"),
             pytest.param(lambda d: d.update(sed=1), "unknown key sed", id="top-level-typo"),
+            pytest.param(lambda d: d.update(seed=-1), "seed: must be >= 0, got -1", id="seed-negative"),
             pytest.param(lambda d: d["eval"].update(limit=0), "limit must be >= 1", id="eval-limit"),
             pytest.param(lambda d: d["eval"].update(repeats=0), "eval: repeats must be >= 1", id="eval-repeats"),
             pytest.param(lambda d: [1, 2], "run config: expected a JSON object", id="list-document"),

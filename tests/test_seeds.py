@@ -31,3 +31,39 @@ def test_numpy_integer_seed_equals_int_seed(run):
 def test_generator_passes_through():
     rng = np.random.default_rng(5)
     assert seeds.as_generator(rng, seeds.SMOOTH) is rng
+
+
+# every key tuple the package draws a stream with
+KEYS = (*((k,) for k in (seeds.INIT, seeds.DATA, seeds.PGD, seeds.SMOOTH, seeds.EVAL, seeds.SYNTH)), (seeds.SYNTH, 7))
+
+
+def _draws(seed, *key):
+    return seeds.stream(seed, *key).integers(0, 2**63, size=4)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 12345, 2**31, 2**32 - 1])
+def test_narrow_seed_draws_as_its_entropy_list(seed):
+    # seeds below 2**32 keep their draws, so every artifact keeps its bytes
+    for key in KEYS:
+        want = np.random.default_rng([seed, *key]).integers(0, 2**63, size=4)
+        np.testing.assert_array_equal(_draws(seed, *key), want)
+
+
+@pytest.mark.parametrize("wide, narrow", [(2**32, 0), (2**32 + 7, 7), (2**64 - 1, 2**32 - 1), (2**64, 0)])
+def test_wide_seed_repeats_no_narrow_stream(wide, narrow):
+    # masking to 32 bits made stream(2**32) draw as stream(0); a bare
+    # [2**32, INIT] list would draw as [0, DATA]
+    seen = {tuple(_draws(s, *key)) for s in (narrow, 0, 1) for key in KEYS}
+    for key in KEYS:
+        assert tuple(_draws(wide, *key)) not in seen
+
+
+def test_wide_seeds_keep_their_streams_apart():
+    wide = [(s, *key) for s in (2**32, 2**33, 2**64, 2**128, 2**160) for key in ((0,), (1,), (5, 7), (0, 0))]
+    assert len({tuple(_draws(*args)) for args in wide}) == len(wide)
+
+
+def test_negative_seed_rejected():
+    # masking made stream(-1) draw as stream(2**32 - 1)
+    with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+        seeds.stream(-1, seeds.INIT)

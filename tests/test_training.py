@@ -414,3 +414,17 @@ def test_regular_iteration_peak_memory():
     # about 41.8 MiB, in the loss's backward sweep; 48.6 while conv2's
     # backward still held both convs' unfolds and the graph the batch
     assert _gate_iteration_peak(mode="regular") < 45 * 2**20
+
+
+def test_input_gradient_pass_peak_memory():
+    # one IG pass (frozen forward, JS, backward to x), the saliency map's
+    # and each PGD step's cost, peaks at about 24.3 MiB, in the forward;
+    # a conv input gradient that stacked the whole batch read 29.7 (41.8
+    # with the padded-grid layout)
+    spec = ModelSpec("cnn", (3, 32, 32), 10, channels=(16, 32), seed=0)
+    params = init_model(spec).frozen()
+    x = generate_half_informative(n=64, size=32, channels=3, classes=10, seed=0).images
+    p = softmax_np(forward_eval(params, Tensor(x)).data)
+    (_, dx, _), peak = peak_bytes(lambda: adversarial._objective(params, x, p, grad=True))
+    assert dx.shape == x.shape
+    assert peak < 26 * 2**20
