@@ -309,15 +309,15 @@ def _pad_hw(x: np.ndarray, padding: int) -> np.ndarray:
     return out
 
 
-def _unfold(x: np.ndarray, kh: int, kw: int, padding: int):
-    """Offset-major unfold: rows are (dy, dx, channel), columns (n, ho, wo).
+def _unfold(xp: np.ndarray, kh: int, kw: int) -> np.ndarray:
+    """Offset-major unfold of a padded input: rows are (dy, dx, channel),
+    columns (n, ho, wo).
 
     Built from kh*kw cheap strided block copies; the layout feeds one
     large contiguous GEMM per conv (numpy's matmul drops off the BLAS
     path entirely for non-contiguous operands).
     """
-    n, c = x.shape[0], x.shape[1]
-    xp = _pad_hw(x, padding)
+    n, c = xp.shape[0], xp.shape[1]
     ho = xp.shape[2] - kh + 1
     wo = xp.shape[3] - kw + 1
     cols = np.empty((kh * kw * c, n * ho * wo))
@@ -327,7 +327,7 @@ def _unfold(x: np.ndarray, kh: int, kw: int, padding: int):
             xs = xp[:, :, dy : dy + ho, dx : dx + wo]
             np.copyto(cols[k : k + c].reshape(c, n, ho, wo), xs.transpose(1, 0, 2, 3))
             k += c
-    return cols, ho, wo
+    return cols
 
 
 def _kernel_matrix(w: np.ndarray) -> np.ndarray:
@@ -335,12 +335,31 @@ def _kernel_matrix(w: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(w.transpose(0, 2, 3, 1)).reshape(f, kh * kw * c)
 
 
-def _conv2d_forward(x: np.ndarray, w: np.ndarray, padding: int):
-    """The conv output channel-major, (F, N, Ho, Wo), and the unfold."""
-    n = x.shape[0]
-    f, _, kh, kw = w.shape
-    cols, ho, wo = _unfold(x, kh, kw, padding)
-    return (_kernel_matrix(w) @ cols).reshape(f, n, ho, wo), cols
+def _conv2d_forward(a: Tensor, w: Tensor, padding: int):
+    """The conv output channel-major, (F, N, Ho, Wo), and what the node
+    keeps for dW, the only reader of the unfold.
+
+    With frozen weights that is nothing. When the input needs no
+    gradient (the first conv, fed the batch or ``x + delta``), it is the
+    private padded copy the unfold is built from, nearly kh*kw times
+    smaller, which ``_conv2d_dw`` unfolds again; being a copy, it neither
+    pins the caller's array nor sees later writes into it. Otherwise it
+    is the unfold. The padded copy is dropped before the GEMM unless it
+    is kept.
+    """
+    n = a.data.shape[0]
+    f, _, kh, kw = w.data.shape
+    xp = _pad_hw(a.data, padding)
+    ho, wo = xp.shape[2] - kh + 1, xp.shape[3] - kw + 1
+    cols = _unfold(xp, kh, kw)
+    if not w.requires_grad:
+        kept = None
+    elif a.requires_grad:
+        kept = cols
+    else:
+        kept = xp
+    del xp
+    return (_kernel_matrix(w.data) @ cols).reshape(f, n, ho, wo), kept
 
 
 def _nchw(x: np.ndarray) -> np.ndarray:
@@ -349,10 +368,13 @@ def _nchw(x: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(x.swapaxes(0, 1))
 
 
-def _conv2d_dw(gm: np.ndarray, cols: np.ndarray, w_shape) -> np.ndarray:
+def _conv2d_dw(gm: np.ndarray, kept: np.ndarray, w_shape) -> np.ndarray:
     """The filter gradient, (F, C, kh, kw), from the channel-major output
-    gradient ``gm``, (F, N, Ho, Wo) and contiguous, and the unfold."""
+    gradient ``gm``, (F, N, Ho, Wo) and contiguous, and what
+    ``_conv2d_forward`` kept: the unfold, or the padded input, which is
+    unfolded again here and dropped on return."""
     f, c, kh, kw = w_shape
+    cols = kept if kept.ndim == 2 else _unfold(kept, kh, kw)
     dwm = gm.reshape(f, -1) @ cols.T
     return np.ascontiguousarray(dwm.reshape(f, kh, kw, c).transpose(0, 3, 1, 2))
 
@@ -445,21 +467,20 @@ def _conv2d_dx_per_offset(gm: np.ndarray, w: np.ndarray, x_shape, padding: int) 
 def conv2d(a: Tensor, w: Tensor, padding: int = 0) -> Tensor:
     """Stride-1 cross-correlation of (N,C,H,W) input with (F,C,kh,kw) filters.
 
-    The node keeps the unfold only when the weights require grad, and
-    drops it once the backward has taken dW, before dX; it keeps the
-    input only when the input requires grad.
+    For dW the node keeps what ``_conv2d_forward`` chooses, and drops it
+    once the backward has taken dW, before dX; it keeps the input only
+    when the input requires grad.
     """
-    out, cols = _conv2d_forward(a.data, w.data, padding)
-    cols = cols if w.requires_grad else None  # only dW reads the unfold
+    out, kept = _conv2d_forward(a, w, padding)
     x_shape = a.data.shape
     a_kept = a if a.requires_grad else None
 
     def bwd(g):
-        nonlocal cols
+        nonlocal kept
         gm = _nchw(g)
-        if cols is not None:
-            w._accum(_conv2d_dw(gm, cols, w.data.shape))
-            cols = None  # dW was the unfold's last read: a graph is swept once
+        if kept is not None:
+            w._accum(_conv2d_dw(gm, kept, w.data.shape))
+            kept = None  # dW was its last read: a graph is swept once
         if a_kept is not None:
             a_kept._accum(_conv2d_dx(gm, w.data, x_shape, padding))
 
@@ -548,14 +569,13 @@ def conv2d_bias_relu_pool(a: Tensor, w: Tensor, b: Tensor, padding: int = 0, k: 
     the ReLU, so the ReLU clamps the pooled output, k*k times smaller,
     which alone is transposed to NCHW. The forward records each window's
     routed slot as a ``uint8`` code, so the graph keeps the pooled output
-    and one byte per pooled element, not the pre-activation, plus the
-    unfold when the weights require grad, and the input only when it
-    requires grad. The backward routes the gradient, takes dW and drops
-    the unfold, then sums the bias gradient and takes dX, so the unfold
+    and one byte per pooled element, not the pre-activation, plus what
+    ``_conv2d_forward`` keeps for dW, and the input only when it requires
+    grad. The backward routes the gradient, takes dW and drops what it
+    kept for dW, then sums the bias gradient and takes dX, so the unfold
     is never held beside dX's buffers.
     """
-    act, cols = _conv2d_forward(a.data, w.data, padding)
-    cols = cols if w.requires_grad else None  # only dW reads the unfold
+    act, kept = _conv2d_forward(a, w, padding)
     act += b.data.reshape(-1, 1, 1, 1)
     pooled = _pool_max(act, k)
     np.maximum(pooled, 0.0, out=pooled)
@@ -567,16 +587,18 @@ def conv2d_bias_relu_pool(a: Tensor, w: Tensor, b: Tensor, padding: int = 0, k: 
     a_kept = a if a.requires_grad else None
 
     def bwd(g):
-        nonlocal cols
+        nonlocal kept
         # A routed slot holds its window's maximum, so its ReLU passes
         # gradient exactly where the pooled value is > 0 (NaN fails both);
         # masking g at pooled size gives the same bits as masking the
-        # routed gradient, whose other slots stay +0.0 either way.
+        # routed gradient, whose other slots stay +0.0 either way. The
+        # masked product is written channel-major and contiguous, so the
+        # routing reads it in order.
         out_cm = out.swapaxes(0, 1)
-        gm = _route_code(code, g.swapaxes(0, 1) * (out_cm > 0.0), k)
-        if cols is not None:
-            w._accum(_conv2d_dw(gm, cols, w.data.shape))
-            cols = None  # dW was the unfold's last read: a graph is swept once
+        gm = _route_code(code, np.multiply(g.swapaxes(0, 1), out_cm > 0.0, order="C"), k)
+        if kept is not None:
+            w._accum(_conv2d_dw(gm, kept, w.data.shape))
+            kept = None  # dW was its last read: a graph is swept once
         if b.requires_grad:
             # numpy's multi-axis sum order follows the layout, so the bias
             # sums an NCHW copy, as add's backward would; a (1, F, 1, 1) g

@@ -168,19 +168,75 @@ class TestConvBiasRelu:
         # only dW reads the unfold, so a node whose weights are frozen
         # keeps its output alone: the conv output, or for the fused node
         # its pooled output and one uint8 routing code per pooled element,
-        # with no pre-activation
-        x = Tensor(rng.standard_normal((4, 3, 16, 16)), requires_grad=True)
+        # with no pre-activation; a node whose input needs no gradient
+        # keeps the padded input, 7x smaller here, in place of the unfold
+        xv = rng.standard_normal((4, 3, 16, 16))
         act_bytes, cols_bytes = 4 * 8 * 16 * 16 * 8, 27 * 4 * 16 * 16 * 8
+        padded_bytes = 4 * 3 * 18 * 18 * 8
         out_bytes = act_bytes // 4 if fused else act_bytes
         acts = out_bytes + out_bytes // 8 if fused else act_bytes
-        for w_grad in (False, True):
+        for x_grad, w_grad, for_dw in ((True, False, 0), (True, True, cols_bytes), (False, True, padded_bytes)):
+            x = Tensor(xv, requires_grad=x_grad)
             w = Tensor(rng.standard_normal((8, 3, 3, 3)), requires_grad=w_grad)
             b = Tensor(np.zeros(8))
             op = (lambda: conv2d_bias_relu_pool(x, w, b, padding=1)) if fused else (lambda: conv2d(x, w, padding=1))
             out, kept = kept_bytes(op)
             assert out.data.nbytes == out_bytes
-            arrays = acts + cols_bytes if w_grad else acts
-            assert arrays <= kept < arrays + 2**12
+            assert acts + for_dw <= kept < acts + for_dw + 2**12
+
+    @pytest.mark.parametrize("fused", [False, True])
+    @pytest.mark.parametrize("c", [1, 3])
+    @pytest.mark.parametrize("side", [8, 14, 16, 28, 32])
+    def test_kept_padded_input_gives_unfold_dw_bitwise(self, rng, side, c, fused):
+        # a node whose input needs no gradient unfolds its kept padded
+        # input again for dW; the unfold is a copy, so dW (and the bias
+        # gradient and output) carry the bits of a node that kept the
+        # unfold, with signed zeros, NaN and inf in the input and the
+        # upstream gradient, and an inf weight
+        def pick(values, shape):
+            return np.where(rng.random(shape) < 0.8, rng.standard_normal(shape), rng.choice(values, size=shape))
+
+        special = [0.0, -0.0, np.nan, np.inf, -np.inf]
+        for n in (1, 3, 53, 64):
+            x = pick(special, (n, c, side, side))
+            w = rng.standard_normal((4, c, 3, 3))
+            if n % 2:
+                w[1, 0, 1, 2] = np.inf
+            b = rng.standard_normal(4)
+            out_side = side // 2 if fused else side
+            g = pick(special, (n, 4, out_side, out_side))
+            results = []
+            for x_grad in (False, True):
+                a_t, w_t, b_t = Tensor(x, requires_grad=x_grad), Tensor(w, requires_grad=True), Tensor(b, requires_grad=True)
+                with np.errstate(invalid="ignore", over="ignore"):
+                    out = conv2d_bias_relu_pool(a_t, w_t, b_t, padding=1) if fused else conv2d(a_t, w_t, padding=1)
+                    tsum(mul(out, Tensor(g))).backward()
+                results.append([out.data, w_t.grad] + ([b_t.grad] if fused else []))
+            for got, want in zip(*results):
+                assert got.tobytes() == want.tobytes(), f"batch {n}"
+
+    @pytest.mark.parametrize("fused", [False, True])
+    @pytest.mark.parametrize("padding", [0, 1])
+    def test_write_into_input_after_forward_leaves_dw(self, rng, fused, padding):
+        # the node keeps a private padded copy of an input that needs no
+        # gradient, so writing into the caller's array before the sweep
+        # cannot reach dW
+        x = rng.standard_normal((3, 2, 8, 8))
+        w = rng.standard_normal((4, 2, 3, 3))
+        b = np.zeros(4)
+        grads = []
+        for overwrite in (False, True):
+            arr = x.copy()
+            w_t = Tensor(w, requires_grad=True)
+            if fused:
+                out = conv2d_bias_relu_pool(Tensor(arr), w_t, Tensor(b), padding=padding)
+            else:
+                out = conv2d(Tensor(arr), w_t, padding=padding)
+            if overwrite:
+                arr[...] = rng.standard_normal(arr.shape)
+            tsum(out).backward()
+            grads.append(w_t.grad)
+        assert grads[0].tobytes() == grads[1].tobytes()
 
     @pytest.mark.parametrize("fused", [False, True])
     def test_unfold_freed_before_dx(self, rng, monkeypatch, fused):
@@ -191,7 +247,7 @@ class TestConvBiasRelu:
 
         def tracked_unfold(*args):
             out = unfold(*args)
-            unfolds.append(weakref.ref(out[0]))
+            unfolds.append(weakref.ref(out))
             return out
 
         def checked_dx(*args):

@@ -395,25 +395,30 @@ def _gate_iteration_peak(**kw) -> int:
 
 
 def test_pgd4_iteration_peak_memory():
-    # one adaptive PGD-4 iteration peaks at about 45.8 MiB, in the
-    # search's final trainable forward, over x, x + delta and the search's
-    # current and best perturbations; it read 52.2 MiB in the first
-    # trainable sweep's conv2 backward while both convs' unfolds were
-    # still held, and 66.5 with pooled nodes that kept their
-    # pre-activations and a search that stacked every iterate
-    assert _gate_iteration_peak(adv=AdvConfig(epsilon=8 / 255, k=4)) < 49 * 2**20
+    # one adaptive PGD-4 iteration peaks at about 34.0 MiB, in the
+    # search's final trainable forward, at conv2's routing code, over x,
+    # x + delta and the search's current and best perturbations; it read
+    # 45.8 MiB while conv1 kept its unfold rather than its padded input,
+    # 52.2 in the first trainable sweep's conv2 backward while both
+    # convs' unfolds were still held, and 66.5 with pooled nodes that
+    # kept their pre-activations and a search that stacked every iterate
+    assert _gate_iteration_peak(adv=AdvConfig(epsilon=8 / 255, k=4)) < 37 * 2**20
 
 
 def test_fgsm_iteration_peak_memory():
-    # about 44.3 MiB, in the search's final trainable forward; 52.2 while
-    # a conv backward still held an unfold that dW had already read
-    assert _gate_iteration_peak(adv=AdvConfig(epsilon=8 / 255, variant="fgsm")) < 48 * 2**20
+    # about 32.5 MiB, in the search's final trainable forward; 44.3 while
+    # conv1 kept its unfold, 52.2 while a conv backward still held an
+    # unfold that dW had already read
+    assert _gate_iteration_peak(adv=AdvConfig(epsilon=8 / 255, variant="fgsm")) < 36 * 2**20
 
 
 def test_regular_iteration_peak_memory():
-    # about 41.8 MiB, in the loss's backward sweep; 48.6 while conv2's
-    # backward still held both convs' unfolds and the graph the batch
-    assert _gate_iteration_peak(mode="regular") < 45 * 2**20
+    # about 30.1 MiB, in conv1's dW in the loss's backward sweep, over the
+    # routed gradient and the unfold built again from the kept padded
+    # input; 41.8 while conv1 kept its unfold from the forward, and 48.6
+    # while conv2's backward still held both convs' unfolds and the graph
+    # the batch
+    assert _gate_iteration_peak(mode="regular") < 33 * 2**20
 
 
 def test_input_gradient_pass_peak_memory():
