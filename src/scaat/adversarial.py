@@ -66,12 +66,15 @@ class Perturbation:
 
 
 def _checked_rows(p, q) -> tuple[np.ndarray, np.ndarray]:
-    """Same-shape float arrays whose last axis holds distributions."""
+    """Same-shape float arrays whose last axis holds distributions:
+    finite, non-negative entries, each row summing to 1 within 1e-6."""
     p = np.asarray(p, dtype=np.float64)
     q = np.asarray(q, dtype=np.float64)
     if p.shape != q.shape:
         raise ValueError(f"distribution length mismatch: {p.shape} vs {q.shape}")
     for arr, name in ((p, "P"), (q, "Q")):
+        if not np.isfinite(arr).all():
+            raise ValueError(f"{name} has non-finite entries")
         if arr.min() < 0:
             raise ValueError(f"{name} has negative entries")
         sums = np.ravel(arr.sum(axis=-1))

@@ -335,33 +335,6 @@ def _kernel_matrix(w: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(w.transpose(0, 2, 3, 1)).reshape(f, kh * kw * c)
 
 
-def _conv2d_forward(a: Tensor, w: Tensor, padding: int):
-    """The conv output channel-major, (F, N, Ho, Wo), and what the node
-    keeps for dW, the only reader of the unfold.
-
-    With frozen weights that is nothing. When the input needs no
-    gradient (the first conv, fed the batch or ``x + delta``), it is the
-    private padded copy the unfold is built from, nearly kh*kw times
-    smaller, which ``_conv2d_dw`` unfolds again; being a copy, it neither
-    pins the caller's array nor sees later writes into it. Otherwise it
-    is the unfold. The padded copy is dropped before the GEMM unless it
-    is kept.
-    """
-    n = a.data.shape[0]
-    f, _, kh, kw = w.data.shape
-    xp = _pad_hw(a.data, padding)
-    ho, wo = xp.shape[2] - kh + 1, xp.shape[3] - kw + 1
-    cols = _unfold(xp, kh, kw)
-    if not w.requires_grad:
-        kept = None
-    elif a.requires_grad:
-        kept = cols
-    else:
-        kept = xp
-    del xp
-    return (_kernel_matrix(w.data) @ cols).reshape(f, n, ho, wo), kept
-
-
 def _nchw(x: np.ndarray) -> np.ndarray:
     """A contiguous copy with the first two axes swapped: (F, N, ...) to
     (N, F, ...) and back."""
@@ -382,28 +355,10 @@ def _conv2d_dw(gm: np.ndarray, kept: np.ndarray, w_shape) -> np.ndarray:
 DX_CHUNK = 16  # samples per stacked GEMM of the conv input gradient
 
 
-def _stacks_exactly(w: np.ndarray, padding: int) -> bool:
-    """Whether ``_conv2d_dx_stacked`` gives ``_conv2d_dx_per_offset``'s
-    bits, as a property test over this domain shows on OpenBLAS's Haswell
-    kernels: 3x3 kernels, padding 1, at least two input channels and
-    finite weights. With one input channel OpenBLAS runs the per-offset
-    product as a GEMV, which rounds differently; a non-finite weight
-    turns the stacked product's padding terms from exact zeros into NaN."""
-    _, c, kh, kw = w.shape
-    return (kh, kw, padding) == (3, 3, 1) and c >= 2 and bool(np.isfinite(w).all())
-
-
 def _conv2d_dx(gm: np.ndarray, w: np.ndarray, x_shape, padding: int) -> np.ndarray:
     """The input gradient, NCHW, from the channel-major output gradient
-    ``gm``, (F, N, Ho, Wo) and contiguous: stacked per chunk of samples
-    where that is exact, per kernel offset elsewhere."""
-    if _stacks_exactly(w, padding):
-        return _conv2d_dx_stacked(gm, w, x_shape, padding)
-    return _conv2d_dx_per_offset(gm, w, x_shape, padding)
-
-
-def _conv2d_dx_stacked(gm: np.ndarray, w: np.ndarray, x_shape, padding: int) -> np.ndarray:
-    """``_conv2d_dx`` per chunk of ``DX_CHUNK`` samples.
+    ``gm``, (F, N, Ho, Wo) and contiguous, per chunk of ``DX_CHUNK``
+    samples.
 
     The chunk's ``gm`` is laid on the padded input grid, zero outside
     its (Ho, Wo) corner, so one GEMM of the stacked transposed kernels,
@@ -411,11 +366,19 @@ def _conv2d_dx_stacked(gm: np.ndarray, w: np.ndarray, x_shape, padding: int) -> 
     ``dy * Wp + dx`` from their input element. The fold then adds one
     contiguous run per offset and channel, in (dy, dx) order, into a
     zeroed padded buffer, and the cropped, transposed buffer is copied
-    into the output. The terms from the grid's zero padding are exact
-    zeros for finite weights, and adding a zero never changes a sum that
-    starts at +0.0, so each input element gets the per-offset kernel's
-    bits. All three buffers are the size of a chunk and reused across
-    chunks.
+    into the output. All three buffers are the size of a chunk and
+    reused across chunks.
+
+    Each element sums its offsets' terms in (dy, dx) order, as a
+    per-offset scatter-add of ``w[:, :, dy, dx].T @ gm`` does; the grid's
+    padding adds exact zeros for finite weights, which leave a sum that
+    starts at +0.0 unchanged. So the two differ only where OpenBLAS
+    rounds a term's F-long dot product differently: nowhere on the
+    models' domain (3x3 kernels, padding 1, C >= 2), by rounding
+    elsewhere (one input channel, say, which it runs per offset as a
+    GEMV). A non-finite weight makes the padding terms NaN (inf * 0),
+    so some border entries turn NaN; no loader or trainer produces
+    such weights.
     """
     f, c, kh, kw = w.shape
     n, _, h, wd = x_shape
@@ -431,9 +394,7 @@ def _conv2d_dx_stacked(gm: np.ndarray, w: np.ndarray, x_shape, padding: int) -> 
         m = min(DX_CHUNK, n - s)
         size = m * hp * wp
         grid = grid_buf[: f * size].reshape(f, m, hp, wp)
-        if m < nb:
-            grid.fill(0.0)  # a shorter chunk's layout puts earlier values in its padding
-        grid[:, :, :ho, :wo] = gm[:, s : s + m]
+        grid[:, :, :ho, :wo] = gm[:, s : s + m]  # each (Hp, Wp) block's padding stays zero
         prod = prod_buf[: kh * kw * c * size].reshape(kh * kw * c, size)
         np.matmul(wt, grid.reshape(f, size), out=prod)
         prod = prod.reshape(kh, kw, c, size)
@@ -448,43 +409,51 @@ def _conv2d_dx_stacked(gm: np.ndarray, w: np.ndarray, x_shape, padding: int) -> 
     return dx_out
 
 
-def _conv2d_dx_per_offset(gm: np.ndarray, w: np.ndarray, x_shape, padding: int) -> np.ndarray:
-    """``_conv2d_dx`` for the whole batch: per kernel offset, one
-    transposed GEMM scatter-added into the padded input buffer."""
-    f, c, kh, kw = w.shape
-    n, _, h, wd = x_shape
-    _, _, ho, wo = gm.shape
-    gm = gm.reshape(f, n * ho * wo)
-    dxq = np.zeros((c, n, h + 2 * padding, wd + 2 * padding))
-    for dy in range(kh):
-        for dx in range(kw):
-            wk = np.ascontiguousarray(w[:, :, dy, dx])
-            contrib = (wk.T @ gm).reshape(c, n, ho, wo)
-            dxq[:, :, dy : dy + ho, dx : dx + wo] += contrib
-    return _nchw(dxq[:, :, padding : padding + h, padding : padding + wd])
+def _conv2d_forward(a: Tensor, w: Tensor, padding: int):
+    """The conv output channel-major, (F, N, Ho, Wo), and its backward,
+    ``grads(gm)``, for the channel-major, contiguous output gradient
+    ``gm``: dW, then dropping what was kept for dW, then dX.
 
-
-def conv2d(a: Tensor, w: Tensor, padding: int = 0) -> Tensor:
-    """Stride-1 cross-correlation of (N,C,H,W) input with (F,C,kh,kw) filters.
-
-    For dW the node keeps what ``_conv2d_forward`` chooses, and drops it
-    once the backward has taken dW, before dX; it keeps the input only
-    when the input requires grad.
+    Only dW reads the unfold. With frozen weights nothing is kept for it.
+    When the input needs no gradient (the first conv, fed the batch or
+    ``x + delta``), the private padded copy the unfold is built from is
+    kept, nearly kh*kw times smaller, and ``_conv2d_dw`` unfolds it
+    again; being a copy, it neither pins the caller's array nor sees
+    later writes into it. Otherwise the unfold is kept. The padded copy
+    is dropped before the GEMM unless it is kept. dW is the last read of
+    what was kept, so it is dropped before dX allocates its buffers; the
+    input itself is kept only when it requires grad.
     """
-    out, kept = _conv2d_forward(a, w, padding)
     x_shape = a.data.shape
+    f, _, kh, kw = w.data.shape
+    xp = _pad_hw(a.data, padding)
+    ho, wo = xp.shape[2] - kh + 1, xp.shape[3] - kw + 1
+    cols = _unfold(xp, kh, kw)
+    if not w.requires_grad:
+        kept = None
+    elif a.requires_grad:
+        kept = cols
+    else:
+        kept = xp
+    del xp
+    out = (_kernel_matrix(w.data) @ cols).reshape(f, x_shape[0], ho, wo)
     a_kept = a if a.requires_grad else None
 
-    def bwd(g):
+    def grads(gm):
         nonlocal kept
-        gm = _nchw(g)
         if kept is not None:
             w._accum(_conv2d_dw(gm, kept, w.data.shape))
-            kept = None  # dW was its last read: a graph is swept once
+            kept = None  # a graph is swept once
         if a_kept is not None:
             a_kept._accum(_conv2d_dx(gm, w.data, x_shape, padding))
 
-    return _make(_nchw(out), (a, w), bwd)
+    return out, grads
+
+
+def conv2d(a: Tensor, w: Tensor, padding: int = 0) -> Tensor:
+    """Stride-1 cross-correlation of (N,C,H,W) input with (F,C,kh,kw) filters."""
+    out, grads = _conv2d_forward(a, w, padding)
+    return _make(_nchw(out), (a, w), lambda g: grads(_nchw(g)))
 
 
 def _pool_views(x: np.ndarray, k: int):
@@ -571,11 +540,10 @@ def conv2d_bias_relu_pool(a: Tensor, w: Tensor, b: Tensor, padding: int = 0, k: 
     routed slot as a ``uint8`` code, so the graph keeps the pooled output
     and one byte per pooled element, not the pre-activation, plus what
     ``_conv2d_forward`` keeps for dW, and the input only when it requires
-    grad. The backward routes the gradient, takes dW and drops what it
-    kept for dW, then sums the bias gradient and takes dX, so the unfold
-    is never held beside dX's buffers.
+    grad. The backward routes the gradient, runs ``_conv2d_forward``'s
+    ``grads`` on it, then sums the bias gradient.
     """
-    act, kept = _conv2d_forward(a, w, padding)
+    act, grads = _conv2d_forward(a, w, padding)
     act += b.data.reshape(-1, 1, 1, 1)
     pooled = _pool_max(act, k)
     np.maximum(pooled, 0.0, out=pooled)
@@ -583,11 +551,8 @@ def conv2d_bias_relu_pool(a: Tensor, w: Tensor, b: Tensor, padding: int = 0, k: 
     code = _first_max_code(act, pooled, k, relu=True) if needs_grad else None
     del act
     out = _nchw(pooled)
-    x_shape = a.data.shape
-    a_kept = a if a.requires_grad else None
 
     def bwd(g):
-        nonlocal kept
         # A routed slot holds its window's maximum, so its ReLU passes
         # gradient exactly where the pooled value is > 0 (NaN fails both);
         # masking g at pooled size gives the same bits as masking the
@@ -596,17 +561,13 @@ def conv2d_bias_relu_pool(a: Tensor, w: Tensor, b: Tensor, padding: int = 0, k: 
         # routing reads it in order.
         out_cm = out.swapaxes(0, 1)
         gm = _route_code(code, np.multiply(g.swapaxes(0, 1), out_cm > 0.0, order="C"), k)
-        if kept is not None:
-            w._accum(_conv2d_dw(gm, kept, w.data.shape))
-            kept = None  # dW was its last read: a graph is swept once
+        grads(gm)
         if b.requires_grad:
             # numpy's multi-axis sum order follows the layout, so the bias
             # sums an NCHW copy, as add's backward would; a (1, F, 1, 1) g
             # is passed on unsummed, which keeps a lone -0.0
             g_b = _unbroadcast(_nchw(gm), (1, gm.shape[0], 1, 1))
             b._accum(g_b.reshape(b.data.shape))
-        if a_kept is not None:
-            a_kept._accum(_conv2d_dx(gm, w.data, x_shape, padding))
 
     return _make(out, (a, w, b), bwd)
 

@@ -19,7 +19,7 @@ from .metrics import evaluate_model, saliency_for_sample
 from .models import ParamSet
 from .reports import export_curve_csv, export_report, write_json, write_jsonl
 from .saliency import save_csv, save_pgm
-from .training import scaat_train
+from .training import TrainingDiverged, scaat_train
 
 MODE_NAMES = {
     "regular": "regular",
@@ -202,7 +202,7 @@ def run_cli(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         parser.print_usage(sys.stderr)
         return 2
-    except (ConfigError, DataFormatError, CheckpointError, OSError, ValueError, IndexError) as exc:
+    except (ConfigError, DataFormatError, CheckpointError, TrainingDiverged, OSError, ValueError, IndexError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -142,7 +142,7 @@ def quantile_thresholds(flat: np.ndarray, q) -> np.ndarray:
     q = np.broadcast_to(np.asarray(q, dtype=np.float64), (n,))
     if s == 0:
         raise ValueError("quantile of an empty collection")
-    bad = q[(q < 0.0) | (q > 1.0)]
+    bad = q[~((q >= 0.0) & (q <= 1.0))]  # NaN fails both
     if bad.size:
         raise ValueError(f"quantile fraction must be in [0, 1], got {bad[0]}")
     pos = np.floor(q * s).astype(np.int64)

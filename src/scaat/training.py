@@ -208,9 +208,12 @@ def scaat_train(dataset, spec: ModelSpec, cfg: TrainConfig) -> TrainResult:
         probs_adv = None
         if adversarial_mode:
             maps, clean_scores = batch_gsmap_scores(params, x, y)
+            p_clean = softmax_np(clean_scores, axis=-1)
+            if not np.isfinite(p_clean).all():
+                # the loss's clean softmax has these bits, so its loss is NaN
+                raise TrainingDiverged(f"non-finite loss at iteration {iteration}")
             masks = lowest_masks(region_mean(maps, region), qstate.q[idx])
             del maps
-            p_clean = softmax_np(clean_scores, axis=-1)
             adv_objective, probs_adv = perturb_batch(
                 params, x, cfg.adv, masks, rng_pgd, p_clean=p_clean
             )[1:]

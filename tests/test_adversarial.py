@@ -68,6 +68,14 @@ class TestDivergences:
         with pytest.raises(ValueError, match="negative"):
             kl_div([-0.1, 1.1], [0.5, 0.5])
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_rejected(self, value):
+        # NaN fails both the sign and the sum check, so it is named first
+        with pytest.raises(ValueError, match="P has non-finite entries"):
+            kl_div([value, 1.0], [0.5, 0.5])
+        with pytest.raises(ValueError, match="Q has non-finite entries"):
+            js_bits_np([[0.5, 0.5], [0.5, 0.5]], [[0.5, 0.5], [1.0, value]])
+
     def test_vectorized_matches_scalar(self, rng):
         p = np.stack([random_simplex(rng, 5) for _ in range(8)])
         q = np.stack([random_simplex(rng, 5) for _ in range(8)])
@@ -188,7 +196,10 @@ class TestSearchContracts:
         masks = np.ones((2, 4), dtype=bool)
         cfg = AdvConfig(epsilon=0.1, k=2)
         good = predict_proba(params, x)
-        for bad, message in ((good * 1.5, "sums to"), (-good, "negative"), (good[:1], "mismatch")):
+        nan_row = np.where([[True], [False]], np.nan, good)
+        for bad, message in (
+            (good * 1.5, "sums to"), (-good, "negative"), (good[:1], "mismatch"), (nan_row, "P has non-finite"),
+        ):
             with pytest.raises(ValueError, match=message):
                 perturb_batch(params, x, cfg, masks, seeds.stream(0, seeds.PGD), p_clean=bad)
 

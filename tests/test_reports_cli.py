@@ -447,6 +447,16 @@ class TestCli:
         cfg = run_config_from_dict({"schema": 1})
         assert "classes=2" in cfg.data.train and cfg.model.n_classes == 10
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_diverged_run_exits_one(self, tmp_path, capsys):
+        doc = run_config_to_dict(tiny_run_config(tmp_path, mode="regular"))
+        doc["train"]["lr"] = 1e308
+        path = tmp_path / "diverge.json"
+        path.write_text(json.dumps(doc))
+        assert run_cli(["train", "--config", str(path)]) == 1
+        assert capsys.readouterr().err == "error: non-finite loss at iteration 2\n"
+        assert not (tmp_path / "out").exists()
+
     def test_runtime_errors_exit_one(self, tmp_path):
         _, cfg_path = self.write_config(tmp_path)
         code = run_cli(["evaluate", "--config", str(cfg_path), "--ckpt", str(tmp_path / "missing.sct")])

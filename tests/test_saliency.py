@@ -206,6 +206,11 @@ class TestQuantileAndLowest:
         with pytest.raises(ValueError, match="empty"):
             quantile_thresholds(np.array([[]]), 0.5)
 
+    def test_nan_fraction_rejected(self):
+        smap = SaliencyMap(np.array([[5.0, 1.0], [3.0, 2.0]]), "vanilla")
+        with pytest.raises(ValueError, match=r"quantile fraction must be in \[0, 1\], got nan"):
+            lowest(smap, float("nan"))
+
     def test_lowest_zero_empty(self):
         smap = SaliencyMap(np.array([[5.0, 1.0], [3.0, 2.0]]), "vanilla")
         assert lowest(smap, 0.0).size == 0

@@ -200,6 +200,17 @@ class TestScaatTrain:
         with pytest.raises(TrainingDiverged, match="iteration 2"):
             scaat_train(tiny_data(), tiny_spec(), cfg)
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_nan_loss_aborts_with_iteration_adaptive(self, monkeypatch):
+        # the saliency pass's clean softmax is NaN at iteration 2, which
+        # the search would reject; the run stops there, before the search
+        searches, search = [], training.perturb_batch
+        monkeypatch.setattr(training, "perturb_batch", lambda *a, **kw: searches.append(1) or search(*a, **kw))
+        spec = ModelSpec("cnn", (1, 8, 8), 2, channels=(4, 4), seed=0)
+        with pytest.raises(TrainingDiverged, match="non-finite loss at iteration 2"):
+            scaat_train(tiny_data(), spec, tiny_cfg(lr=1e308, n_iter=30))
+        assert len(searches) == 1
+
     def test_empty_dataset_rejected(self):
         data = tiny_data(n=4).take(0)
         with pytest.raises(ValueError, match="empty"):
