@@ -9,12 +9,15 @@ their averages (AOPC), with the relative score AOPC_morf / AOPC_lerf.
 from __future__ import annotations
 
 import math
+import os
+import threading
 import zlib
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from . import seeds
+from . import _blas, seeds
 from .models import ParamSet, predict_proba
 from .saliency import SaliencyMap, integrated_gradients, region_mean, smooth_grad, to_u8, vanilla_gsmap
 
@@ -221,34 +224,86 @@ def evaluate_sample(params: ParamSet, x, protocol: EvalProtocol, seed: int, inde
     return int(p_clean.argmax()), smap, curve("lerf", 0), curve("morf", 1)
 
 
+def _sample_row(params: ParamSet, x, label, protocol: EvalProtocol, seed: int, index: int):
+    """One sample's report row and its LeRF and MoRF decay values."""
+    pred, smap, lerf, morf = evaluate_sample(params, x, protocol, seed, index)
+    a_l, a_m = aopc(lerf), aopc(morf)
+    defined = smap.values.sum() > 0
+    row = {
+        "entropy": saliency_entropy(smap) if defined else float("nan"),
+        "size_kib": compressed_size(smap),
+        "gini": gini_index(smap) if defined else float("nan"),
+        "aopc_lerf": a_l,
+        "aopc_morf": a_m,
+        "aopc_rel": a_m / a_l if a_l != 0 else float("nan"),
+        "correct": float(pred == label),
+    }
+    return row, lerf.values, morf.values
+
+
+def _usable_cores() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _in_blocks(task, n: int, threads: int) -> list:
+    """``[task(i) for i in range(n)]`` over ``threads`` contiguous blocks
+    of indices: the first on this thread, each other on a thread of its
+    own. Results keep index order. Where tasks raise, the lowest index's
+    error is raised once every thread has stopped; when an error reaches
+    this thread, the blocks still running stop at their next index."""
+    blocks = np.array_split(np.arange(n), threads)
+    stop = threading.Event()
+
+    def run(block) -> list:
+        out = []
+        for i in block:
+            if stop.is_set():
+                break
+            out.append(task(int(i)))
+        return out
+
+    with ThreadPoolExecutor(max(1, threads - 1)) as pool:   # one block starts no thread
+        futures = [pool.submit(run, block) for block in blocks[1:]]
+        try:
+            out = run(blocks[0])
+            for f in futures:
+                out += f.result()
+        except BaseException:
+            stop.set()
+            raise
+    return out
+
+
 def evaluate_model(params: ParamSet, dataset, protocol: EvalProtocol, seed: int = 0) -> MetricsReport:
     """Full metric sweep over a dataset split.
 
     Saliency is taken with respect to each sample's predicted class. An
     all-zero map has no entropy or Gini index; its row reads NaN there,
     and so do those aggregates.
+
+    Samples are evaluated on one thread per usable core, each thread
+    taking a contiguous block, while BLAS runs one thread per caller.
+    Every row depends only on its sample, the seed and its index, so the
+    report has the bits of a loop over the samples at one BLAS thread,
+    whatever the thread counts. Where BLAS cannot be held to one thread,
+    the samples run on this thread at the library's own thread count.
     """
     images = np.asarray(dataset.images, dtype=np.float64)[: protocol.limit]
     n = images.shape[0]
     if n == 0:
         raise ValueError(f"evaluation split {dataset.split!r} is empty")
 
-    rows = []
-    curves = {order: np.empty((n, protocol.steps)) for order in ("lerf", "morf")}
-    for i in range(n):
-        pred, smap, lerf, morf = evaluate_sample(params, images[i], protocol, seed, i)
-        curves["lerf"][i], curves["morf"][i] = lerf.values, morf.values
-        a_l, a_m = aopc(lerf), aopc(morf)
-        defined = smap.values.sum() > 0
-        rows.append({
-            "entropy": saliency_entropy(smap) if defined else float("nan"),
-            "size_kib": compressed_size(smap),
-            "gini": gini_index(smap) if defined else float("nan"),
-            "aopc_lerf": a_l,
-            "aopc_morf": a_m,
-            "aopc_rel": a_m / a_l if a_l != 0 else float("nan"),
-            "correct": float(pred == dataset.labels[i]),
-        })
+    params.frozen()   # built once here, not raced for by the threads
+
+    def task(i):
+        return _sample_row(params, images[i], dataset.labels[i], protocol, seed, i)
+
+    with _blas.one_thread_per_caller() as held:
+        results = _in_blocks(task, n, min(n, _usable_cores()) if held else 1)
+    rows, lerf, morf = zip(*results)
+    curves = {"lerf": np.array(lerf), "morf": np.array(morf)}
 
     per_sample = {k: np.array([r[k] for r in rows]) for k in PER_SAMPLE_METRICS}
     agg = {k: float(per_sample[k].mean()) for k in ("entropy", "size_kib", "gini", "aopc_lerf", "aopc_morf")}

@@ -2,9 +2,10 @@
 
 ``forward_eval`` is the one forward: it takes an (N, C, H, W) batch,
 emits raw class scores and builds a gradient graph when a parameter or
-the input requires one. ``scores_np`` and ``predict_proba`` call it on
-the frozen parameters, where no graph is recorded; they also take one
-(C, H, W) sample.
+the input requires one. ``scores_np`` and ``predict_proba`` each call it
+on the frozen parameters, where no graph is recorded; they also take one
+(C, H, W) sample. Package code calls ``predict_proba``; ``scores_np`` is
+kept for callers outside it.
 """
 
 from __future__ import annotations
@@ -169,15 +170,21 @@ def forward_eval(params: ParamSet, x) -> Tensor:
     return h
 
 
-def scores_np(params: ParamSet, x: np.ndarray) -> np.ndarray:
-    """Raw class scores as an array: ``forward_eval`` on the frozen
-    parameters, so no graph is recorded. One (C, H, W) sample gives a
-    (n_classes,) vector."""
+def _scores(params: ParamSet, x) -> np.ndarray:
     if np.shape(x) == params.spec.input_shape:
         return forward_eval(params.frozen(), np.asarray(x)[None]).data[0]
     return forward_eval(params.frozen(), x).data
 
 
+def scores_np(params: ParamSet, x: np.ndarray) -> np.ndarray:
+    """Raw class scores as an array: ``forward_eval`` on the frozen
+    parameters, so no graph is recorded. One (C, H, W) sample gives a
+    (n_classes,) vector."""
+    return _scores(params, x)
+
+
 def predict_proba(params: ParamSet, x: np.ndarray) -> np.ndarray:
-    """Softmax class probabilities, without a graph."""
-    return softmax_np(scores_np(params, x), axis=-1)
+    """Softmax class probabilities, without a graph: ``forward_eval`` on
+    the frozen parameters. One (C, H, W) sample gives a (n_classes,)
+    vector."""
+    return softmax_np(_scores(params, x), axis=-1)

@@ -1,11 +1,16 @@
+import contextlib
+import sys
+import threading
+import time
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from scaat import metrics
+from scaat import _blas, metrics
 from scaat.data import generate_half_informative
 from scaat.metrics import (
+    SALIENCY_METHODS,
     EvalProtocol,
     PerturbationCurve,
     aopc,
@@ -361,3 +366,167 @@ class TestEvaluateModel:
             report = evaluate_model(params, data, protocol, seed=2)
             assert report.n_samples == 3
             assert np.all(np.isfinite(report.per_sample["entropy"]))
+
+
+def sequential_report(params, data, protocol, seed):
+    """The per-sample columns and curves of ``evaluate_model``, from one
+    loop over ``evaluate_sample`` on the calling thread."""
+    cols = {k: [] for k in metrics.PER_SAMPLE_METRICS}
+    curves = {"lerf": [], "morf": []}
+    with _blas.one_thread_per_caller():
+        for i, x in enumerate(data.images[: protocol.limit]):
+            pred, smap, lerf, morf = metrics.evaluate_sample(params, x, protocol, seed, i)
+            defined = smap.values.sum() > 0
+            a_l, a_m = aopc(lerf), aopc(morf)
+            row = {
+                "entropy": saliency_entropy(smap) if defined else float("nan"),
+                "size_kib": compressed_size(smap),
+                "gini": gini_index(smap) if defined else float("nan"),
+                "aopc_lerf": a_l,
+                "aopc_morf": a_m,
+                "aopc_rel": a_m / a_l if a_l != 0 else float("nan"),
+                "correct": float(pred == data.labels[i]),
+            }
+            for k, v in row.items():
+                cols[k].append(v)
+            curves["lerf"].append(lerf.values)
+            curves["morf"].append(morf.values)
+    return {k: np.array(v) for k, v in cols.items()}, {k: np.array(v) for k, v in curves.items()}
+
+
+def assert_same_bits(report, per_sample, curves):
+    for key, col in per_sample.items():
+        assert report.per_sample[key].tobytes() == col.tobytes(), key
+    for order, values in curves.items():
+        assert report.curves[order].shape == values.shape
+        assert report.curves[order].tobytes() == values.tobytes(), order
+
+
+def before_each_sample(monkeypatch, hook):
+    """Call ``hook(index)`` on the evaluating thread ahead of each sample."""
+    sample = metrics.evaluate_sample
+
+    def hooked(params, x, protocol, seed, index):
+        hook(index)
+        return sample(params, x, protocol, seed, index)
+
+    monkeypatch.setattr(metrics, "evaluate_sample", hooked)
+
+
+def blas_controls() -> list:
+    with _blas._lock:
+        return _blas._loaded()
+
+
+def blas_counts() -> list:
+    return [get() for get, _ in blas_controls()]
+
+
+@pytest.fixture
+def blas_at_two():
+    """Every loaded OpenBLAS at 2 threads, so a count left at 1 shows;
+    skips where the process has no OpenBLAS to drive."""
+    controls = blas_controls()
+    if not controls:
+        pytest.skip("no OpenBLAS thread control in this process")
+    before = blas_counts()
+    for _, set_ in controls:
+        set_(2)
+    try:
+        yield
+    finally:
+        for (_, set_), n in zip(controls, before):
+            set_(n)
+
+
+class TestEvaluateModelThreads:
+    """``evaluate_model`` splits the samples into contiguous blocks, one
+    per thread, with BLAS held to one thread per caller."""
+
+    PROTOCOL = EvalProtocol(steps=3, repeats=1, region=2)
+
+    @pytest.fixture(scope="class")
+    def setup(self):
+        data = generate_half_informative(n=8, size=8, classes=3, seed=6, split="test")
+        params = init_model(ModelSpec("cnn", (1, 8, 8), 3, channels=(2, 3), seed=3))
+        return params, data
+
+    @pytest.mark.parametrize("cores", [2, 3])
+    @pytest.mark.parametrize("n", [1, 3, 8])
+    @pytest.mark.parametrize("method", SALIENCY_METHODS)
+    def test_matches_sequential_loop_bitwise(self, setup, monkeypatch, method, n, cores):
+        params, data = setup
+        protocol = EvalProtocol(saliency=method, steps=4, fraction=0.5, repeats=2, region=2,
+                                smooth_samples=3, ig_steps=4, limit=n)
+        want = sequential_report(params, data, protocol, seed=7)
+        monkeypatch.setattr(metrics, "_usable_cores", lambda: cores)
+        threads = set()
+        before_each_sample(monkeypatch, lambda i: threads.add(threading.get_ident()))
+        report = evaluate_model(params, data, protocol, seed=7)
+        assert_same_bits(report, *want)
+        assert report.n_samples == n
+        if blas_controls():   # the pool may run two short blocks on one thread
+            assert (len(threads) > 1) == (n > 1)
+
+    def test_blas_held_inside_and_restored_after(self, setup, monkeypatch, blas_at_two):
+        params, data = setup
+        monkeypatch.setattr(metrics, "_usable_cores", lambda: 2)
+        seen = []
+        before_each_sample(monkeypatch, lambda i: seen.append(blas_counts()))
+        evaluate_model(params, data, self.PROTOCOL, seed=1)
+        assert len(seen) == len(data) and all(set(c) == {1} for c in seen)
+        assert set(blas_counts()) == {2}
+
+    @pytest.mark.parametrize("bad", [(2, 5), (5,)], ids=["both-blocks", "worker-block"])
+    def test_failing_sample_restores_blas_and_raises_lowest_index(self, setup, monkeypatch, blas_at_two, bad):
+        # blocks [0..3] and [4..7]: sample 2 runs on this thread, sample 5 on the other
+        params, data = setup
+        monkeypatch.setattr(metrics, "_usable_cores", lambda: 2)
+
+        def fail(i):
+            if i in bad:
+                raise RuntimeError(f"sample {i} failed")
+
+        before_each_sample(monkeypatch, fail)
+        with pytest.raises(RuntimeError, match=f"sample {bad[0]} failed"):
+            evaluate_model(params, data, self.PROTOCOL, seed=1)
+        assert set(blas_counts()) == {2}
+
+    def test_without_blas_control_one_thread_same_bits(self, setup, monkeypatch):
+        params, data = setup
+        want = evaluate_model(params, data, self.PROTOCOL, seed=3)
+        monkeypatch.setattr(_blas, "one_thread_per_caller", lambda: contextlib.nullcontext(False))
+        threads = set()
+        before_each_sample(monkeypatch, lambda i: threads.add(threading.get_ident()))
+        report = evaluate_model(params, data, self.PROTOCOL, seed=3)
+        assert threads == {threading.get_ident()}
+        assert_same_bits(report, want.per_sample, want.curves)
+
+
+def test_blas_blocks_on_many_threads_restore_the_count(blas_at_two):
+    # more threads than cores, each opening and closing nested blocks
+    inside = []
+    start = threading.Barrier(8)
+
+    def work():
+        start.wait(timeout=60)
+        for _ in range(200):
+            with _blas.one_thread_per_caller():
+                with _blas.one_thread_per_caller():
+                    time.sleep(0)   # let the other threads enter and leave
+                    inside.append(blas_counts())
+                inside.append(blas_counts())
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work) for _ in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert len(inside) == 8 * 2 * 200 and all(set(c) == {1} for c in inside)
+    assert set(blas_counts()) == {2}

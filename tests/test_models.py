@@ -5,7 +5,8 @@ import weakref
 import numpy as np
 import pytest
 
-from scaat.autodiff import Tensor, conv2d, matmul, max_pool2d, mul, relu, reshape, tsum
+from scaat import models
+from scaat.autodiff import Tensor, conv2d, matmul, max_pool2d, mul, relu, reshape, softmax_np, tsum
 from scaat.models import ModelSpec, ParamSet, forward_eval, init_model, predict_proba, scores_np
 from conftest import kept_bytes, linear_model
 
@@ -241,6 +242,20 @@ class TestPredictProba:
         s = scores_np(params, x)
         p = predict_proba(params, x)
         assert np.array_equal(s.argmax(axis=1), p.argmax(axis=1))
+
+    def test_one_forward_and_no_scores_np(self, rng, monkeypatch):
+        # a tracer wrapping both public names counts each prediction once
+        params = init_model(ModelSpec("cnn", (1, 8, 8), 5, channels=(2, 3), seed=4))
+        x = rng.uniform(0, 1, (3, 1, 8, 8))
+        want = [softmax_np(scores_np(params, b), axis=-1) for b in (x, x[0])]
+        calls = []
+        forward = models.forward_eval
+        monkeypatch.setattr(models, "scores_np", lambda *args: calls.append("scores_np"))
+        monkeypatch.setattr(models, "forward_eval", lambda *args: calls.append("forward_eval") or forward(*args))
+        got = [predict_proba(params, b) for b in (x, x[0])]
+        assert calls == ["forward_eval", "forward_eval"]
+        for g, w in zip(got, want):
+            assert g.shape == w.shape and np.array_equal(g, w)
 
     def test_pure_function(self, rng):
         spec = ModelSpec("mlp", (1, 2, 2), 2, seed=0)
