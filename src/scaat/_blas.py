@@ -22,6 +22,9 @@ import contextlib
 import ctypes
 import os
 import threading
+from concurrent.futures import ThreadPoolExecutor
+
+import numpy as np
 
 # (prefix, suffix) of the thread-count symbols in the known builds:
 # scipy-openblas wheels, 64-bit-integer builds, plain libopenblas.
@@ -93,3 +96,37 @@ def one_thread_per_caller():
             if _open == 0:
                 for (_, set_), n in zip(controls, _saved):
                     set_(n)
+
+
+def _usable_cores() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def per_sample(params, n: int, task) -> list:
+    """``[task(i) for i in range(n)]`` with BLAS held to one thread per
+    caller, over one contiguous block of indices per usable core (at most
+    ``n``), the first on this thread; where BLAS cannot be held, all on
+    this thread. ``params.frozen()`` is built first, not raced for by the
+    threads. Results keep index order. Where tasks raise, the lowest
+    index's error is raised once every thread has stopped; when an error
+    reaches this thread, the blocks still running stop at their next index."""
+    params.frozen()
+    with one_thread_per_caller() as held:
+        blocks = np.array_split(np.arange(n), max(1, min(n, _usable_cores())) if held else 1)
+        stop = threading.Event()
+
+        def run(block) -> list:
+            return [task(int(i)) for i in block if not stop.is_set()]
+
+        with ThreadPoolExecutor(max(1, len(blocks) - 1)) as pool:   # one block starts no thread
+            futures = [pool.submit(run, block) for block in blocks[1:]]
+            try:
+                out = run(blocks[0])
+                for f in futures:
+                    out += f.result()
+            except BaseException:
+                stop.set()
+                raise
+    return out

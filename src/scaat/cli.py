@@ -12,6 +12,7 @@ import sys
 from dataclasses import asdict, replace
 from pathlib import Path
 
+from ._blas import per_sample
 from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from .config import ConfigError, RunConfig, load_run_config, save_run_config
 from .data import DataFormatError
@@ -104,7 +105,9 @@ def _cmd_saliency(args) -> int:
     for i in indices:
         if not 0 <= i < len(dataset):
             raise IndexError(f"sample index {i} out of range [0, {len(dataset)})")
-        p_clean, smap = saliency_for_sample(params, dataset.images[i], protocol, rng_seed=cfg.seed + i)
+    maps = per_sample(params, len(indices), lambda k: saliency_for_sample(
+        params, dataset.images[indices[k]], protocol, rng_seed=cfg.seed + indices[k]))
+    for i, (p_clean, smap) in zip(indices, maps):   # written on this thread: atomic_write reads the umask
         stem = out / f"saliency_{i:05d}_{protocol.saliency}"
         save_pgm(smap, f"{stem}.pgm")
         save_csv(smap, f"{stem}.csv")

@@ -13,7 +13,6 @@ import json
 import typing
 from dataclasses import MISSING, dataclass, fields, is_dataclass, replace
 
-from .adversarial import AdvConfig
 from .data import Dataset, load_dataset, parse_synthetic_spec
 from .metrics import EvalProtocol
 from .models import ModelSpec

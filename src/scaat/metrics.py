@@ -9,10 +9,7 @@ their averages (AOPC), with the relative score AOPC_morf / AOPC_lerf.
 from __future__ import annotations
 
 import math
-import os
-import threading
 import zlib
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -241,41 +238,6 @@ def _sample_row(params: ParamSet, x, label, protocol: EvalProtocol, seed: int, i
     return row, lerf.values, morf.values
 
 
-def _usable_cores() -> int:
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-def _in_blocks(task, n: int, threads: int) -> list:
-    """``[task(i) for i in range(n)]`` over ``threads`` contiguous blocks
-    of indices: the first on this thread, each other on a thread of its
-    own. Results keep index order. Where tasks raise, the lowest index's
-    error is raised once every thread has stopped; when an error reaches
-    this thread, the blocks still running stop at their next index."""
-    blocks = np.array_split(np.arange(n), threads)
-    stop = threading.Event()
-
-    def run(block) -> list:
-        out = []
-        for i in block:
-            if stop.is_set():
-                break
-            out.append(task(int(i)))
-        return out
-
-    with ThreadPoolExecutor(max(1, threads - 1)) as pool:   # one block starts no thread
-        futures = [pool.submit(run, block) for block in blocks[1:]]
-        try:
-            out = run(blocks[0])
-            for f in futures:
-                out += f.result()
-        except BaseException:
-            stop.set()
-            raise
-    return out
-
-
 def evaluate_model(params: ParamSet, dataset, protocol: EvalProtocol, seed: int = 0) -> MetricsReport:
     """Full metric sweep over a dataset split.
 
@@ -283,26 +245,19 @@ def evaluate_model(params: ParamSet, dataset, protocol: EvalProtocol, seed: int 
     all-zero map has no entropy or Gini index; its row reads NaN there,
     and so do those aggregates.
 
-    Samples are evaluated on one thread per usable core, each thread
-    taking a contiguous block, while BLAS runs one thread per caller.
-    Every row depends only on its sample, the seed and its index, so the
-    report has the bits of a loop over the samples at one BLAS thread,
-    whatever the thread counts. Where BLAS cannot be held to one thread,
-    the samples run on this thread at the library's own thread count.
+    Samples run through ``_blas.per_sample``, one contiguous block per
+    usable core with BLAS held to one thread per caller. Every row
+    depends only on its sample, the seed and its index, so the report has
+    the bits of a loop over the samples at one BLAS thread, whatever the
+    thread counts.
     """
     images = np.asarray(dataset.images, dtype=np.float64)[: protocol.limit]
     n = images.shape[0]
     if n == 0:
         raise ValueError(f"evaluation split {dataset.split!r} is empty")
 
-    params.frozen()   # built once here, not raced for by the threads
-
-    def task(i):
-        return _sample_row(params, images[i], dataset.labels[i], protocol, seed, i)
-
-    with _blas.one_thread_per_caller() as held:
-        results = _in_blocks(task, n, min(n, _usable_cores()) if held else 1)
-    rows, lerf, morf = zip(*results)
+    rows, lerf, morf = zip(*_blas.per_sample(
+        params, n, lambda i: _sample_row(params, images[i], dataset.labels[i], protocol, seed, i)))
     curves = {"lerf": np.array(lerf), "morf": np.array(morf)}
 
     per_sample = {k: np.array([r[k] for r in rows]) for k in PER_SAMPLE_METRICS}

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import tempfile
@@ -21,7 +22,9 @@ def _umask() -> int:
 
 
 def atomic_write(path, data: bytes) -> None:
-    """Write via a temp file in the target directory, then rename.
+    """Write via a temp file in the target directory, synced to disk,
+    then rename. On any error the temp file is removed; an ``OSError``
+    is raised naming ``path``, any other error unchanged.
 
     The file gets the mode a plain ``open()`` would give (0666 less the
     umask); ``mkstemp`` alone would leave it 0600.
@@ -33,13 +36,15 @@ def atomic_write(path, data: bytes) -> None:
         with os.fdopen(fd, "wb") as f:
             os.fchmod(fd, 0o666 & ~_umask())
             f.write(data)
+            f.flush()
+            os.fsync(fd)
         os.replace(tmp, path)
-    except OSError as exc:
-        try:
+    except BaseException as exc:
+        with contextlib.suppress(OSError):
             os.unlink(tmp)
-        except OSError:
-            pass
-        raise OSError(f"failed writing {path}: {exc}") from exc
+        if isinstance(exc, OSError):
+            raise OSError(f"failed writing {path}: {exc}") from exc
+        raise
 
 
 def export_report(report: MetricsReport, out_dir):

@@ -117,10 +117,17 @@ def test_failed_replace_keeps_old_file(tmp_path, rng, monkeypatch):
     old = path.read_bytes()
 
     def fail(src, dst):
-        raise OSError("replace refused")
+        raise error
 
     monkeypatch.setattr(os, "replace", fail)
+    error = OSError("replace refused")
     with pytest.raises(OSError, match="replace refused"):
         save_checkpoint(OrderedDict([("w", rng.standard_normal(5))]), path)
+    assert path.read_bytes() == old
+    assert [p.name for p in tmp_path.iterdir()] == ["m.sct"]
+    error = KeyboardInterrupt()   # not an OSError: raised unchanged, and the temp file still goes
+    with pytest.raises(KeyboardInterrupt) as caught:
+        save_checkpoint(OrderedDict([("w", rng.standard_normal(5))]), path)
+    assert caught.value is error
     assert path.read_bytes() == old
     assert [p.name for p in tmp_path.iterdir()] == ["m.sct"]

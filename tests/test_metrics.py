@@ -459,7 +459,7 @@ class TestEvaluateModelThreads:
         protocol = EvalProtocol(saliency=method, steps=4, fraction=0.5, repeats=2, region=2,
                                 smooth_samples=3, ig_steps=4, limit=n)
         want = sequential_report(params, data, protocol, seed=7)
-        monkeypatch.setattr(metrics, "_usable_cores", lambda: cores)
+        monkeypatch.setattr(_blas, "_usable_cores", lambda: cores)
         threads = set()
         before_each_sample(monkeypatch, lambda i: threads.add(threading.get_ident()))
         report = evaluate_model(params, data, protocol, seed=7)
@@ -470,7 +470,7 @@ class TestEvaluateModelThreads:
 
     def test_blas_held_inside_and_restored_after(self, setup, monkeypatch, blas_at_two):
         params, data = setup
-        monkeypatch.setattr(metrics, "_usable_cores", lambda: 2)
+        monkeypatch.setattr(_blas, "_usable_cores", lambda: 2)
         seen = []
         before_each_sample(monkeypatch, lambda i: seen.append(blas_counts()))
         evaluate_model(params, data, self.PROTOCOL, seed=1)
@@ -481,7 +481,7 @@ class TestEvaluateModelThreads:
     def test_failing_sample_restores_blas_and_raises_lowest_index(self, setup, monkeypatch, blas_at_two, bad):
         # blocks [0..3] and [4..7]: sample 2 runs on this thread, sample 5 on the other
         params, data = setup
-        monkeypatch.setattr(metrics, "_usable_cores", lambda: 2)
+        monkeypatch.setattr(_blas, "_usable_cores", lambda: 2)
 
         def fail(i):
             if i in bad:
@@ -491,6 +491,26 @@ class TestEvaluateModelThreads:
         with pytest.raises(RuntimeError, match=f"sample {bad[0]} failed"):
             evaluate_model(params, data, self.PROTOCOL, seed=1)
         assert set(blas_counts()) == {2}
+
+    def test_failure_stops_the_other_block_early(self, setup, monkeypatch):
+        # blocks [0..3] and [4..7]: sample 4 waits until sample 0 has failed
+        params, data = setup
+        monkeypatch.setattr(_blas, "_usable_cores", lambda: 2)
+        failed, ran = threading.Event(), []
+
+        def hook(i):
+            ran.append(i)
+            if i == 0:
+                failed.set()
+                raise RuntimeError("sample 0 failed")
+            if i == 4:
+                assert failed.wait(timeout=60)
+                time.sleep(0.5)   # for the error to reach the calling thread
+
+        before_each_sample(monkeypatch, hook)
+        with pytest.raises(RuntimeError, match="sample 0 failed"):
+            evaluate_model(params, data, self.PROTOCOL, seed=1)
+        assert sorted(ran) == ([0, 4] if blas_controls() else [0])
 
     def test_without_blas_control_one_thread_same_bits(self, setup, monkeypatch):
         params, data = setup

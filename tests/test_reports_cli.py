@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 from dataclasses import replace
 from pathlib import Path
 
@@ -10,8 +11,9 @@ import numpy as np
 import pytest
 
 import scaat
+from scaat import _blas, cli
 from scaat.adversarial import AdvConfig
-from scaat.checkpoint import load_checkpoint
+from scaat.checkpoint import load_checkpoint, save_checkpoint
 from scaat.cli import run_cli
 from scaat.config import (
     ConfigError,
@@ -25,7 +27,7 @@ from scaat.config import (
 from scaat.data import generate_half_informative
 from scaat.metrics import EvalProtocol, evaluate_model
 from scaat.models import ModelSpec, ParamSet, init_model
-from scaat.reports import export_report
+from scaat.reports import atomic_write, export_report
 from scaat.training import TrainConfig, scaat_train
 
 
@@ -130,13 +132,38 @@ class TestRunConfig:
         old = path.read_bytes()
 
         def fail(src, dst):
-            raise OSError("replace refused")
+            raise error
 
         monkeypatch.setattr(os, "replace", fail)
+        error = OSError("replace refused")
         with pytest.raises(OSError, match="replace refused"):
             save_run_config(tiny_run_config(tmp_path / "other"), path)
         assert path.read_bytes() == old
         assert [p.name for p in tmp_path.iterdir()] == ["run.json"]
+        error = KeyboardInterrupt()   # not an OSError: raised unchanged, and the temp file still goes
+        with pytest.raises(KeyboardInterrupt) as caught:
+            save_run_config(tiny_run_config(tmp_path / "other"), path)
+        assert caught.value is error
+        assert path.read_bytes() == old
+        assert [p.name for p in tmp_path.iterdir()] == ["run.json"]
+
+    def test_data_synced_before_rename(self, tmp_path, monkeypatch):
+        calls = []
+        fsync, rename = os.fsync, os.replace
+
+        def synced(fd):
+            calls.append(("fsync", os.fstat(fd).st_size))
+            fsync(fd)
+
+        def renamed(src, dst):
+            calls.append(("replace", Path(dst).name))
+            rename(src, dst)
+
+        monkeypatch.setattr(os, "fsync", synced)
+        monkeypatch.setattr(os, "replace", renamed)
+        atomic_write(tmp_path / "a.bin", b"x" * 5000)
+        assert calls == [("fsync", 5000), ("replace", "a.bin")]
+        assert (tmp_path / "a.bin").read_bytes() == b"x" * 5000
 
     @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)])
     def test_written_files_follow_umask(self, tmp_path, umask, mode):
@@ -442,6 +469,34 @@ class TestCli:
         assert "evaluation split 'test' is empty" in capsys.readouterr().err
         assert not (tmp_path / "out" / "report.json").exists()
 
+    def test_saliency_checks_every_index_first(self, tmp_path, capsys):
+        cfg, cfg_path = self.write_config(tmp_path)
+        ckpt = tmp_path / "m.sct"
+        save_checkpoint(init_model(cfg.model).arrays(), ckpt)
+        code = run_cli(["saliency", "--config", str(cfg_path), "--ckpt", str(ckpt), "--indices", "0,999"])
+        assert code == 1
+        assert capsys.readouterr() == ("", "error: sample index 999 out of range [0, 16)\n")
+        assert not (tmp_path / "out").exists()
+
+    def test_saliency_writes_in_index_order_on_this_thread(self, tmp_path, capsys, monkeypatch):
+        # maps are computed on three threads; atomic_write reads the umask,
+        # so every write stays on the calling thread
+        cfg, cfg_path = self.write_config(tmp_path)
+        ckpt = tmp_path / "m.sct"
+        save_checkpoint(init_model(cfg.model).arrays(), ckpt)
+        monkeypatch.setattr(_blas, "_usable_cores", lambda: 3)
+        writes, save = [], cli.save_pgm
+
+        def save_pgm(smap, path):
+            writes.append((threading.get_ident(), path))
+            save(smap, path)
+
+        monkeypatch.setattr(cli, "save_pgm", save_pgm)
+        assert run_cli(["saliency", "--config", str(cfg_path), "--ckpt", str(ckpt), "--indices", "2,0,1"]) == 0
+        assert writes == [(threading.get_ident(), f"{tmp_path}/out/saliency_{i:05d}_vanilla.pgm") for i in (2, 0, 1)]
+        printed = capsys.readouterr().out.splitlines()
+        assert [line.split()[1] for line in printed] == ["2", "0", "1"]
+
     def test_fewer_data_classes_than_model_classes_load(self):
         # the default document: a 2-class spec for a 10-class model
         cfg = run_config_from_dict({"schema": 1})
@@ -461,3 +516,34 @@ class TestCli:
         _, cfg_path = self.write_config(tmp_path)
         code = run_cli(["evaluate", "--config", str(cfg_path), "--ckpt", str(tmp_path / "missing.sct")])
         assert code == 1
+
+
+@pytest.mark.parametrize("method", ["vanilla", "smoothgrad", "integrated"])
+def test_saliency_bytes_match_at_one_and_two_blas_threads(tmp_path, method):
+    # on 1x28x28, conv2's GEMM has 196 columns per sample, 4 mod 8 at odd
+    # batches: vanilla's 1 row and smoothgrad's 25 (README, Determinism)
+    cfg = replace(
+        tiny_run_config(tmp_path),
+        model=ModelSpec("cnn", (1, 28, 28), 2, seed=5),
+        data=DataConfig(
+            format="synthetic-spec",
+            train="half-informative,n=4,size=28,classes=2,seed=1",
+            test="half-informative,n=4,size=28,classes=2,seed=2",
+            n_classes=2,
+        ),
+    )
+    cfg_path = tmp_path / "run.json"
+    save_run_config(cfg, cfg_path)
+    ckpt = tmp_path / "m.sct"
+    save_checkpoint(init_model(cfg.model).arrays(), ckpt)
+    files = {}
+    for threads in ("1", "2"):
+        out = tmp_path / f"blas{threads}"
+        env = {**os.environ, "PYTHONPATH": str(Path(scaat.__file__).parents[1]), "OPENBLAS_NUM_THREADS": threads}
+        cmd = [sys.executable, "-m", "scaat.cli", "saliency", "--config", str(cfg_path), "--ckpt", str(ckpt),
+               "--saliency", method, "--indices", "0,1,3", "--out", str(out)]
+        done = subprocess.run(cmd, env=env, capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+        files[threads] = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+    assert len(files["1"]) == 6
+    assert files["1"] == files["2"]

@@ -280,10 +280,17 @@ class TestExport:
         old = path.read_bytes()
 
         def fail(src, dst):
-            raise OSError("replace refused")
+            raise error
 
         monkeypatch.setattr(os, "replace", fail)
+        error = OSError("replace refused")
         with pytest.raises(OSError, match="replace refused"):
             save(SaliencyMap(rng.uniform(0, 1, (3, 4)), "vanilla"), path)
+        assert path.read_bytes() == old
+        assert [p.name for p in tmp_path.iterdir()] == ["m.out"]
+        error = KeyboardInterrupt()   # not an OSError: raised unchanged, and the temp file still goes
+        with pytest.raises(KeyboardInterrupt) as caught:
+            save(SaliencyMap(rng.uniform(0, 1, (3, 4)), "vanilla"), path)
+        assert caught.value is error
         assert path.read_bytes() == old
         assert [p.name for p in tmp_path.iterdir()] == ["m.out"]
