@@ -114,16 +114,17 @@ def js_bits_np(p, q) -> np.ndarray:
 # -- masked search -----------------------------------------------------------
 
 
-def _project(delta, x, eps, mask_pix):
+def _project(delta, eps, mask_pix, lo, hi):
     """Exact feasibility: budget clip, off-mask zeroing, range clip.
 
-    The range constraint is applied as bounds on delta itself; the
-    add-then-subtract form can round a boundary delta one ulp past the
-    budget, and these constraints are contractually exact.
+    The range constraint is applied as bounds on delta itself, ``lo =
+    -x`` and ``hi = 1.0 - x`` for the input x; the add-then-subtract form
+    can round a boundary delta one ulp past the budget, and these
+    constraints are contractually exact.
     """
     delta = np.clip(delta, -eps, eps)
     delta = delta * mask_pix
-    return np.clip(delta, -x, 1.0 - x)
+    return np.clip(delta, lo, hi)
 
 
 def _objective(params, x_adv, p_clean, grad=False):
@@ -171,13 +172,15 @@ def perturb_batch(
     # Uniform random start, but pick the better of the two mirrored signs
     # per sample: the objective is locally U-shaped around the clean
     # input, and plain ascent cannot cross back over that valley.
+    bounds = -x, 1.0 - x   # the range bounds of every projection
     draw = rng.uniform(-eps, eps, size=x.shape) * mask_pix
-    d_plus = _project(draw, x, eps, mask_pix)
-    d_minus = _project(-draw, x, eps, mask_pix)
+    d_plus = _project(draw, eps, mask_pix, *bounds)
+    d_minus = _project(-draw, eps, mask_pix, *bounds)
+    del draw
     j_plus = _objective(frozen, x + d_plus, p_clean)[0]
     j_minus = _objective(frozen, x + d_minus, p_clean)[0]
     delta = np.where((j_plus >= j_minus)[:, None, None, None], d_plus, d_minus)
-    del draw, d_plus, d_minus
+    del d_plus, d_minus
 
     fgsm = cfg.variant == "fgsm"
     steps, alpha = (1, eps) if fgsm else (cfg.k, cfg.step_size)
@@ -191,8 +194,9 @@ def perturb_batch(
             _keep_better(best_delta, best_obj, delta, obj)
         step = alpha * np.sign(grad)
         del grad
-        delta = _project(step if fgsm else delta + step, x, eps, mask_pix)
+        delta = _project(step if fgsm else delta + step, eps, mask_pix, *bounds)
         del step
+    del bounds  # freed before the trainable forward, the search's peak
     obj, _, probs = _objective(params, x + delta, p_clean)
 
     if best_delta is not None and not _keep_better(best_delta, best_obj, delta, obj).all():

@@ -15,8 +15,8 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import _blas, seeds
-from .models import ParamSet, predict_proba
-from .saliency import SaliencyMap, integrated_gradients, region_mean, smooth_grad, to_u8, vanilla_gsmap
+from .models import ParamSet, _nested_scorer, predict_proba
+from .saliency import SaliencyMap, integrated_gradients, predicted_vanilla, region_mean, smooth_grad, to_u8
 
 SALIENCY_METHODS = ("vanilla", "smoothgrad", "integrated")
 
@@ -65,6 +65,11 @@ def _tile_ranking(smap_values: np.ndarray, region: int, order: str) -> np.ndarra
     return np.lexsort((np.arange(tiles.size), key))
 
 
+def _check_region(region: int, h: int, w: int) -> None:
+    if h % region or w % region:
+        raise ValueError(f"region side {region} must divide image extents {(h, w)}")
+
+
 def perturbation_curve(
     params: ParamSet,
     x: np.ndarray,
@@ -86,6 +91,14 @@ def perturbation_curve(
     Steps that perturb the same number of regions share one scored row,
     and steps that perturb none read the clean probabilities
     ``p_clean`` (the model's output at ``x``, predicted when omitted).
+
+    Each scored row perturbs the regions of the row before it and one or
+    more besides. A CNN's rows are scored by ``models._nested_scorer``,
+    which recomputes only the conv outputs that each row's new regions
+    reach; its probabilities are those of ``predict_proba`` on the rows,
+    bit for bit wherever that forward's conv GEMMs have a column count
+    that is a multiple of 8 (README, Determinism). An MLP's first layer
+    mixes every pixel, so its rows run through ``predict_proba``.
     """
     if order not in ("lerf", "morf"):
         raise ValueError(f"order must be 'lerf' or 'morf', got {order!r}")
@@ -98,9 +111,8 @@ def perturbation_curve(
     if region < 1:
         raise ValueError(f"region must be >= 1, got {region}")
     x = np.asarray(x, dtype=np.float64)
-    c_dim, h, w = x.shape
-    if h % region or w % region:
-        raise ValueError(f"region side {region} must divide image extents {(h, w)}")
+    _, h, w = x.shape
+    _check_region(region, h, w)
     rng = seeds.as_generator(rng, seeds.EVAL)
 
     ranking = _tile_ranking(smap.values, region, order)
@@ -119,11 +131,22 @@ def perturbation_curve(
     probs[0] = predict_proba(params, x) if p_clean is None else p_clean
     target = int(probs[0].argmax())
 
+    # The nested scorer rounds every conv column through OpenBLAS's
+    # full-width kernel. The full forward does too, unless conv2's GEMM
+    # has a column count that is 4 mod 8 (an odd row count on, say,
+    # 28x28), whose tail columns OpenBLAS rounds by the GEMM's size;
+    # those rows keep the full forward.
+    if params.spec.arch == "cnn" and len(masks) and len(masks) * (h // 2) * (w // 2) % 8 == 0:
+        score = _nested_scorer(params, x, masks)
+    else:
+        def score(fill):
+            return predict_proba(params, np.where(masks[:, None, :, :], fill[None], x[None]))
+
     decays = np.zeros(steps)
     for _ in range(repeats):
         fill = rng.uniform(0.0, 1.0, size=x.shape)
         if len(masks):
-            probs[1:] = predict_proba(params, np.where(masks[:, None, :, :], fill[None], x[None]))
+            probs[1:] = score(fill)
         decays += probs[0, target] - probs[step_row[1:], target]
     return PerturbationCurve(order, steps, fraction, repeats, decays / repeats)
 
@@ -192,11 +215,12 @@ class MetricsReport:
 
 def saliency_for_sample(params, x, protocol: EvalProtocol, rng_seed: int) -> tuple[np.ndarray, SaliencyMap]:
     """The model's class probabilities at ``x`` and the saliency map for
-    their argmax class; returns (probs, map)."""
+    their argmax class; returns (probs, map). The vanilla map's forward
+    gives the probabilities too; the other methods predict them first."""
+    if protocol.saliency == "vanilla":
+        return predicted_vanilla(params, x)
     p_clean = predict_proba(params, x)
     target = int(p_clean.argmax())
-    if protocol.saliency == "vanilla":
-        return p_clean, vanilla_gsmap(params, x, target)
     if protocol.saliency == "smoothgrad":
         rng = seeds.stream(rng_seed, seeds.SMOOTH)
         return p_clean, smooth_grad(params, x, target, protocol.smooth_samples, protocol.smooth_sigma, rng)
@@ -255,6 +279,8 @@ def evaluate_model(params: ParamSet, dataset, protocol: EvalProtocol, seed: int 
     n = images.shape[0]
     if n == 0:
         raise ValueError(f"evaluation split {dataset.split!r} is empty")
+    _, h, w = params.spec.input_shape
+    _check_region(protocol.resolved_region(params.spec.input_shape), h, w)
 
     rows, lerf, morf = zip(*_blas.per_sample(
         params, n, lambda i: _sample_row(params, images[i], dataset.labels[i], protocol, seed, i)))

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import seeds
-from .autodiff import Tensor, mul, tsum
+from .autodiff import Tensor, mul, softmax_np, tsum
 from .models import ParamSet, forward_eval
 from .reports import atomic_write
 
@@ -41,30 +41,45 @@ def _channel_reduce(grads: np.ndarray) -> np.ndarray:
     return np.abs(grads).max(axis=-3)
 
 
-def _input_grads_scores(params: ParamSet, x: np.ndarray, ys: np.ndarray):
-    """d score_{y_i} / d x_i for every sample of a batch in one backward
-    sweep, and the scores from the same forward.
+def _input_grads(params: ParamSet, x: np.ndarray, classes):
+    """The scores of a batch, from a forward with a graph to the input,
+    and d score_{y_i} / d x_i for every sample in one backward sweep, for
+    the classes ``y = classes(scores)``; returns (grads, scores).
 
     Samples do not interact in the forward pass, so the gradient of the
     summed per-sample target scores separates exactly per sample.
     """
+    xt = Tensor(x, requires_grad=True)
+    scores = forward_eval(params.frozen(), xt)
+    onehot = np.zeros(scores.shape)
+    onehot[np.arange(len(onehot)), classes(scores.data)] = 1.0
+    tsum(mul(scores, Tensor(onehot))).backward()
+    return xt.grad, scores.data
+
+
+def _input_grads_scores(params: ParamSet, x: np.ndarray, ys: np.ndarray):
+    """``_input_grads`` for the classes ``ys``, checked before the forward."""
     ys = np.atleast_1d(np.asarray(ys))
     n_classes = params.spec.n_classes
     bad = ys[(ys < 0) | (ys >= n_classes)]
     if bad.size:
         raise ValueError(f"class index {bad[0]} out of range for {n_classes} classes")
-    xt = Tensor(x, requires_grad=True)
-    scores = forward_eval(params.frozen(), xt)
-    onehot = np.zeros(scores.shape)
-    onehot[np.arange(len(onehot)), ys] = 1.0
-    tsum(mul(scores, Tensor(onehot))).backward()
-    return xt.grad, scores.data
+    return _input_grads(params, x, lambda scores: ys)
 
 
 def vanilla_gsmap(params: ParamSet, x: np.ndarray, y: int) -> SaliencyMap:
     """Absolute gradient of the class-y score wrt each input pixel."""
     g = _input_grads_scores(params, np.asarray(x)[None], np.array([int(y)]))[0][0]
     return SaliencyMap(_channel_reduce(g), method="vanilla")
+
+
+def predicted_vanilla(params: ParamSet, x: np.ndarray) -> tuple[np.ndarray, SaliencyMap]:
+    """The class probabilities at one (C, H, W) sample and the vanilla map
+    for their argmax class, from one forward; returns (probs, map). The
+    probabilities are ``predict_proba``'s, bit for bit: the same forward,
+    then ``softmax_np`` of its scores."""
+    grads, scores = _input_grads(params, np.asarray(x)[None], lambda s: softmax_np(s[0]).argmax())
+    return softmax_np(scores[0]), SaliencyMap(_channel_reduce(grads[0]), method="vanilla")
 
 
 def batch_gsmap_scores(params: ParamSet, x: np.ndarray, ys: np.ndarray):

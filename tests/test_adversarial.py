@@ -7,7 +7,6 @@ from scaat import adversarial
 from scaat.adversarial import (
     AdvConfig,
     _objective,
-    _project,
     fgsm_masked,
     js_bits,
     js_bits_np,
@@ -261,6 +260,11 @@ class TestSearchContracts:
         assert hits / total >= 0.95
 
 
+def project(delta, x, eps, mask_pix):
+    """The search's projection, with its range bounds taken from x."""
+    return np.clip(np.clip(delta, -eps, eps) * mask_pix, -x, 1.0 - x)
+
+
 def two_branch_search(params, x, cfg, masks, rng, p_clean=None):
     """The search as it stood with a separate FGSM branch beside the PGD
     loop, kept as the bitwise oracle for the single loop; it computes
@@ -272,15 +276,15 @@ def two_branch_search(params, x, cfg, masks, rng, p_clean=None):
     if p_clean is None:
         p_clean = softmax(forward_eval(frozen, x)).data
     draw = rng.uniform(-eps, eps, size=x.shape) * mask_pix
-    d_plus = _project(draw, x, eps, mask_pix)
-    d_minus = _project(-draw, x, eps, mask_pix)
+    d_plus = project(draw, x, eps, mask_pix)
+    d_minus = project(-draw, x, eps, mask_pix)
     j_plus = _objective(frozen, x + d_plus, p_clean)[0]
     j_minus = _objective(frozen, x + d_minus, p_clean)[0]
     delta = np.where((j_plus >= j_minus)[:, None, None, None], d_plus, d_minus)
 
     if cfg.variant == "fgsm":
         grad = _objective(frozen, x + delta, p_clean, grad=True)[1]
-        delta = _project(eps * np.sign(grad) * mask_pix, x, eps, mask_pix)
+        delta = project(eps * np.sign(grad) * mask_pix, x, eps, mask_pix)
         obj, _, probs = _objective(frozen, x + delta, p_clean)
         return delta, obj, probs.data
 
@@ -293,7 +297,7 @@ def two_branch_search(params, x, cfg, masks, rng, p_clean=None):
         if t > 0:
             cand_objs[t - 1] = obj
             cand_probs[t - 1] = probs.data
-        delta = _project(delta + alpha * np.sign(grad), x, eps, mask_pix)
+        delta = project(delta + alpha * np.sign(grad), x, eps, mask_pix)
         cand_deltas[t] = delta
     cand_objs[-1], _, probs = _objective(frozen, x + delta, p_clean)
     cand_probs[-1] = probs.data

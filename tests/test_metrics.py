@@ -7,7 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from scaat import _blas, metrics
+from scaat import _blas, metrics, models, saliency
 from scaat.data import generate_half_informative
 from scaat.metrics import (
     SALIENCY_METHODS,
@@ -20,7 +20,7 @@ from scaat.metrics import (
     perturbation_curve,
     saliency_entropy,
 )
-from scaat.models import ModelSpec, ParamSet, init_model, predict_proba
+from scaat.models import ModelSpec, ParamSet, _nested_scorer, forward_eval, init_model, predict_proba
 from scaat.saliency import SaliencyMap
 from conftest import linear_model
 
@@ -226,16 +226,42 @@ def count_predicted_rows(monkeypatch) -> list:
     return scored
 
 
+def count_nested_rows(monkeypatch) -> list:
+    """Record the rows of each call of every nested scorer that metrics
+    builds, which returns them from its fill without a full forward."""
+    scored = []
+
+    def building(params, x, masks):
+        score = _nested_scorer(params, x, masks)
+
+        def counting(fill):
+            scored.append(len(masks))
+            return score(fill)
+
+        return counting
+
+    monkeypatch.setattr(metrics, "_nested_scorer", building)
+    return scored
+
+
+def tile_masks(smap, x, order, region, counts) -> np.ndarray:
+    """(len(counts), H, W) masks of the ``counts[i]`` first-ranked regions."""
+    ranking = metrics._tile_ranking(smap.values, region, order)
+    pos_of_tile = np.empty(ranking.size, dtype=np.int64)
+    pos_of_tile[ranking] = np.arange(ranking.size)
+    _, h, w = x.shape
+    masks = (pos_of_tile[None, :] < np.asarray(counts)[:, None]).reshape(-1, h // region, w // region)
+    return np.repeat(np.repeat(masks, region, axis=1), region, axis=2)
+
+
+def step_counts(smap, steps, fraction, region) -> np.ndarray:
+    n_tiles = smap.values.size // region**2
+    return np.floor(np.arange(1, steps + 1) * fraction * n_tiles / steps + 1e-9).astype(int)
+
+
 def oracle_curve(params, x, smap, order, steps, fraction, repeats, region, rng):
     """The curve scored one row per step, as a reference."""
-    ranking = metrics._tile_ranking(smap.values, region, order)
-    n_tiles = ranking.size
-    counts = np.floor(np.arange(1, steps + 1) * fraction * n_tiles / steps + 1e-9).astype(int)
-    pos_of_tile = np.empty(n_tiles, dtype=np.int64)
-    pos_of_tile[ranking] = np.arange(n_tiles)
-    _, h, w = x.shape
-    step_masks = (pos_of_tile[None, :] < counts[:, None]).reshape(steps, h // region, w // region)
-    step_masks = np.repeat(np.repeat(step_masks, region, axis=1), region, axis=2)
+    step_masks = tile_masks(smap, x, order, region, step_counts(smap, steps, fraction, region))
     p_clean = predict_proba(params, x)
     target = int(p_clean.argmax())
     decays = np.zeros(steps)
@@ -243,6 +269,21 @@ def oracle_curve(params, x, smap, order, steps, fraction, repeats, region, rng):
         fill = rng.uniform(0.0, 1.0, size=x.shape)
         probs = predict_proba(params, np.where(step_masks[:, None, :, :], fill[None], x[None]))
         decays += p_clean[target] - probs[:, target]
+    return decays / repeats
+
+
+def full_rows_curve(params, x, smap, order, steps, fraction, repeats, region, rng):
+    """The curve with each repeat's distinct perturbed rows scored by one
+    ``predict_proba`` forward over all of them, the bitwise reference."""
+    distinct, step_row = np.unique(np.append(0, step_counts(smap, steps, fraction, region)), return_inverse=True)
+    masks = tile_masks(smap, x, order, region, distinct[1:])
+    p_clean = predict_proba(params, x)
+    target = int(p_clean.argmax())
+    decays = np.zeros(steps)
+    for _ in range(repeats):
+        fill = rng.uniform(0.0, 1.0, size=x.shape)
+        probs = np.vstack([p_clean, predict_proba(params, np.where(masks[:, None, :, :], fill[None], x[None]))])
+        decays += p_clean[target] - probs[step_row[1:], target]
     return decays / repeats
 
 
@@ -265,13 +306,60 @@ class TestCurveAgainstOracle:
         np.testing.assert_allclose(got.values, want, rtol=0, atol=1e-15)
         assert rng_a.random() == rng_b.random()
 
-    @pytest.mark.parametrize("protocol, rows", [(GATE, 1 + 5 * 12), (NO_REPEAT, 1 + 3 * 8)], ids=["gate", "no-repeat"])
-    def test_scores_each_distinct_image_once(self, setup, monkeypatch, protocol, rows):
+    @pytest.mark.parametrize("protocol", [GATE, NO_REPEAT], ids=["gate", "no-repeat"])
+    @pytest.mark.parametrize("order", ["lerf", "morf"])
+    def test_cnn_curve_matches_full_rows_bitwise(self, setup, protocol, order):
         params, x, smap = setup
-        scored = count_predicted_rows(monkeypatch)
+        got = perturbation_curve(params, x, smap, order, rng=np.random.default_rng(4), **protocol)
+        want = full_rows_curve(params, x, smap, order, rng=np.random.default_rng(4), **protocol)
+        np.testing.assert_array_equal(got.values, want)
+
+    def test_gemm_tail_rows_keep_the_full_forward(self, monkeypatch):
+        # 9 rows of 28x28 with 4x4 regions: conv2's full GEMM has 9 * 196
+        # columns, 4 mod 8, and at one BLAS thread OpenBLAS rounds the
+        # last 4 in a kernel the nested scorer's GEMMs do not reach
+        params = init_model(ModelSpec("cnn", (1, 28, 28), 10, channels=(16, 32), seed=5))
+        gen = np.random.default_rng(3)
+        x, smap = gen.uniform(0.0, 1.0, (1, 28, 28)), smap_of(gen.uniform(0.0, 1.0, (28, 28)))
+        nested = count_nested_rows(monkeypatch)
+        with _blas.one_thread_per_caller():
+            for order in ("lerf", "morf"):
+                got = perturbation_curve(params, x, smap, order, rng=np.random.default_rng(4), **GATE)
+                want = full_rows_curve(params, x, smap, order, rng=np.random.default_rng(4), **GATE)
+                np.testing.assert_array_equal(got.values, want)
+        assert nested == []
+
+    @pytest.mark.parametrize("protocol, rows", [(GATE, 12), (NO_REPEAT, 8)], ids=["gate", "no-repeat"])
+    def test_scores_each_distinct_image_once(self, setup, monkeypatch, protocol, rows):
+        # the clean row is predicted; the perturbed rows, nested, are
+        # scored once per repeat from the fill alone
+        params, x, smap = setup
+        predicted = count_predicted_rows(monkeypatch)
+        nested = count_nested_rows(monkeypatch)
         perturbation_curve(params, x, smap, "lerf", rng=0, **protocol)
-        assert sum(scored) == rows
-        assert len(scored) == 1 + protocol["repeats"]
+        assert predicted == [1]
+        assert nested == [rows] * protocol["repeats"]
+
+    @pytest.mark.parametrize("protocol, rows", [(GATE, 12), (NO_REPEAT, 8)], ids=["gate", "no-repeat"])
+    def test_mlp_predicts_each_distinct_image_once(self, monkeypatch, protocol, rows):
+        params = init_model(ModelSpec("mlp", (3, 32, 32), 10, hidden=(16,), seed=2))
+        gen = np.random.default_rng(9)
+        x, smap = gen.uniform(0.0, 1.0, (3, 32, 32)), smap_of(gen.uniform(0.0, 1.0, (32, 32)))
+        predicted = count_predicted_rows(monkeypatch)
+        nested = count_nested_rows(monkeypatch)
+        perturbation_curve(params, x, smap, "lerf", rng=0, **protocol)
+        assert predicted == [1] + [rows] * protocol["repeats"]
+        assert nested == []
+
+    @pytest.mark.parametrize("order", ["lerf", "morf"])
+    def test_mlp_curve_unchanged(self, order):
+        # an MLP's rows run through predict_proba, as the oracle's do
+        params = init_model(ModelSpec("mlp", (3, 32, 32), 10, hidden=(16,), seed=2))
+        gen = np.random.default_rng(9)
+        x, smap = gen.uniform(0.0, 1.0, (3, 32, 32)), smap_of(gen.uniform(0.0, 1.0, (32, 32)))
+        got = perturbation_curve(params, x, smap, order, rng=np.random.default_rng(4), **GATE)
+        want = full_rows_curve(params, x, smap, order, rng=np.random.default_rng(4), **GATE)
+        np.testing.assert_array_equal(got.values, want)
 
     def test_steps_perturbing_nothing_run_no_forward(self, setup, monkeypatch):
         # 0.01 of 64 tiles over 4 steps: counts 0, 0, 0, 0
@@ -305,17 +393,42 @@ class TestEvaluateModel:
         )
         assert report.n_samples == 12
 
-    def test_one_prediction_per_sample(self, monkeypatch):
+    @pytest.mark.parametrize("arch", ["cnn", "mlp"])
+    def test_one_clean_forward_per_sample(self, monkeypatch, arch):
         # counts 0, 1, 2, 3, 4, 4, 5, 6 over 16 tiles: 6 perturbed rows per repeat
         params, data = self.make_setup()
+        if arch == "mlp":
+            params = init_model(ModelSpec("mlp", (1, 8, 8), 2, hidden=(5,), seed=1))
         protocol = EvalProtocol(steps=8, fraction=0.4, repeats=3, region=2)
-        scored = count_predicted_rows(monkeypatch)
+        graph_rows = []
+
+        def graph_forward(p, x):
+            graph_rows.append(len(x.data))
+            return forward_eval(p, x)
+
+        monkeypatch.setattr(saliency, "forward_eval", graph_forward)
+        predicted = count_predicted_rows(monkeypatch)
+        nested = count_nested_rows(monkeypatch)
         report = evaluate_model(params, data, protocol, seed=4)
-        assert sum(scored) == len(data) * (1 + 2 * 3 * 6)
-        assert len(scored) == len(data) * (1 + 2 * 3)
+        # the vanilla map's forward is the sample's one clean row
+        assert graph_rows == [1] * len(data)
+        curve_rows = [6] * (len(data) * 2 * 3)
+        assert (predicted, nested) == (([], curve_rows) if arch == "cnn" else (curve_rows, []))
         for curve in report.curves.values():
             assert curve.shape == (len(data), 8)
             np.testing.assert_array_equal(curve[:, 0], 0.0)
+
+    def test_region_checked_before_any_forward(self, monkeypatch):
+        params, data = self.make_setup()
+
+        def no_forward(*args):
+            raise AssertionError("forward ran")
+
+        for module in (models, saliency):
+            monkeypatch.setattr(module, "forward_eval", no_forward)
+        monkeypatch.setattr(metrics, "predict_proba", no_forward)
+        with pytest.raises(ValueError, match="region side 3 must divide image extents"):
+            evaluate_model(params, data, EvalProtocol(region=3))
 
     def test_correct_is_the_batch_one_prediction(self):
         params, data = self.make_setup()

@@ -262,3 +262,56 @@ class TestPredictProba:
         params = init_model(spec)
         x = rng.uniform(0, 1, (4, 1, 2, 2))
         assert np.array_equal(predict_proba(params, x), predict_proba(params, x))
+
+
+def nested_masks(shape, region, fraction, seed, steps=20) -> np.ndarray:
+    """A curve's distinct perturbed rows under a random region ranking:
+    (R, H, W), each row holding the one before it."""
+    _, h, w = shape
+    n_tiles = (h // region) * (w // region)
+    pos = np.random.default_rng(seed).permutation(n_tiles)
+    counts = np.floor(np.arange(1, steps + 1) * fraction * n_tiles / steps + 1e-9).astype(int)
+    masks = pos[None] < np.unique(counts[counts > 0])[:, None]
+    masks = masks.reshape(-1, h // region, w // region)
+    return np.repeat(np.repeat(masks, region, axis=1), region, axis=2)
+
+
+class TestNestedScorer:
+    """``_nested_scorer`` against ``predict_proba`` on the full rows."""
+
+    @pytest.mark.parametrize("shape, channels, region, fraction", [
+        ((3, 32, 32), (16, 32), 4, 0.2),
+        ((3, 32, 32), (16, 32), 8, 0.2),
+        ((1, 16, 16), (16, 32), 2, 0.2),
+        ((3, 64, 64), (16, 32), 4, 0.2),
+        ((1, 8, 8), (2, 3), 2, 0.4),
+        ((1, 8, 8), (4, 6), 1, 1.0),
+    ], ids=["3x32x32-r4", "3x32x32-r8", "1x16x16-r2", "3x64x64-r4", "1x8x8-r2", "1x8x8-r1-all"])
+    def test_bitwise_on_full_width_gemms(self, shape, channels, region, fraction):
+        # every conv GEMM of the full rows has a column count that is a
+        # multiple of 8, so both paths round each column alike
+        self.check(shape, channels, region, fraction, atol=0.0)
+
+    def test_tail_columns_agree_to_rounding(self):
+        # 9 rows of 14x14 conv2 outputs: the full GEMM's last 4 columns
+        # run through OpenBLAS's tail kernel
+        masks = self.check((1, 28, 28), (16, 32), 4, 0.2, atol=1e-15)
+        assert len(masks) == 9
+
+    def check(self, shape, channels, region, fraction, atol):
+        params = init_model(ModelSpec("cnn", shape, 10, channels=channels, seed=5))
+        gen = np.random.default_rng(11)
+        for seed in range(2):
+            x = gen.uniform(0.0, 1.0, shape)
+            masks = nested_masks(shape, region, fraction, seed)
+            score = models._nested_scorer(params, x, masks)
+            for _ in range(2):
+                fill = gen.uniform(0.0, 1.0, shape)
+                want = predict_proba(params, np.where(masks[:, None], fill[None], x[None]))
+                got = score(fill)
+                assert got.shape == want.shape
+                if atol:
+                    np.testing.assert_allclose(got, want, rtol=0, atol=atol)
+                else:
+                    np.testing.assert_array_equal(got, want)
+        return masks

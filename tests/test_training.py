@@ -417,9 +417,11 @@ def test_pgd4_iteration_peak_memory():
 
 
 def test_fgsm_iteration_peak_memory():
-    # about 32.5 MiB, in the search's final trainable forward; 44.3 while
-    # conv1 kept its unfold, 52.2 while a conv backward still held an
-    # unfold that dW had already read
+    # about 33.5 MiB, in the mirror-sign start evaluations, with the
+    # search's range bounds held; 32.5 in the final trainable forward
+    # while each projection computed its own bounds, 44.3 while conv1
+    # kept its unfold, 52.2 while a conv backward still held an unfold
+    # that dW had already read
     assert _gate_iteration_peak(adv=AdvConfig(epsilon=8 / 255, variant="fgsm")) < 36 * 2**20
 
 
